@@ -9,8 +9,8 @@
 # so every run replays the same fault storm: ~5 % injected faults across
 # three plugins over 10k packets, on both the metered and the fast data
 # path, with packet-for-packet agreement asserted.  The same storm also
-# runs through receive_batch (fused single-pass shape), pinning the
-# mid-batch fault split/resume machinery against the scalar walk.
+# runs through receive_batch, pinning inline mid-batch fault mapping and
+# quarantine interception against the scalar walk.
 #
 # Exits non-zero if containment fails: a fault escapes the router, a
 # record fails to reconcile, a quarantine misbehaves, or the two data

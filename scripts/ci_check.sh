@@ -7,7 +7,7 @@
 #
 # The static-analysis gate self-lints every built-in plugin (hot-path
 # RP2xx and shard-safety RP4xx passes), sweeps the shard/batch layers
-# themselves, warms and audits every generated loop shape (RP5xx), and
+# themselves, warms and audits the generated batch loop (RP5xx), and
 # verifies compiled/interpreted equivalence for the classifier DAG and
 # all BMP engines (scripts/analyze.py --self-lint), plus ruff/mypy over
 # the linted subsystems when those tools are installed.  bench_check.sh
@@ -24,6 +24,10 @@ cd "$(dirname "$0")/.."
 
 echo "==== static-analysis gate (scripts/analyze.py --self-lint) ===="
 python scripts/analyze.py --self-lint
+
+echo "== no test imports a deprecated name (collect-only, DeprecationWarning as error) =="
+PYTHONPATH=src python -m pytest --collect-only -q -W error::DeprecationWarning > /dev/null
+echo "ok: test collection raises no DeprecationWarning"
 
 echo "== SARIF output smoke (--self-lint --sarif | json.tool) =="
 python scripts/analyze.py --self-lint --sarif | python -m json.tool > /dev/null

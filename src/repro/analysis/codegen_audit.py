@@ -6,9 +6,8 @@ emits a specialized batch loop per (plan epoch, configuration) key and
 and BMP engines flatten themselves into compiled lookup structures.
 Nothing at runtime re-checks any of it — a codegen regression surfaces
 as a heisenbug three layers away.  This auditor re-parses every cached
-loop (all three shapes: ``single``, ``lanes``, ``fused``) and walks the
-compiled lookup structures, turning structural invariants into ordinary
-diagnostics:
+loop and walks the compiled lookup structures, turning structural
+invariants into ordinary diagnostics:
 
 * RP501 — a free name in the generated source that resolves neither to
   the compile-time namespace (the allowlisted closure) nor to the small
@@ -16,13 +15,13 @@ diagnostics:
 * RP502 — nondeterministic builtins in generated code: ``hash()`` (the
   RP209 hazard, fatal in generated code), ``time``/``random``/
   ``datetime``/``uuid``/``os`` references.
-* RP503 — a fault handler that neither resumes through a ``_split_*``
-  helper (non-fused shapes) nor classifies through ``on_fault`` (fused)
+* RP503 — a fault handler that neither classifies through ``on_fault``
   nor re-raises: plugin faults would escape the per-plugin fault domain.
 * RP504 — the specialization key's fields are not reflected in the
   emitted source (a ``tm`` plan without telemetry cells, a ``bounded``
-  plan that never consults ``MAXR``, ...): the cache would serve a loop
-  compiled for a different configuration.
+  plan that never consults ``MAXR``, a loop that never classifies
+  faults via ``on_fault``, ...): the cache would serve a loop compiled
+  for a different configuration.
 * RP505 — a compiled lookup structure violating its shape invariants:
   stale compile epochs, per-length prefix tables not probed
   longest-first, unsorted range boundaries, or entry counts that do not
@@ -161,7 +160,7 @@ def audit_loop_source(
                 )
             )
 
-    # RP503 — every fault handler must resume or classify.
+    # RP503 — every fault handler must classify or re-raise.
     handlers = [
         node for node in ast.walk(fn_node)
         if isinstance(node, ast.ExceptHandler)
@@ -175,22 +174,21 @@ def audit_loop_source(
                 "charged to the faulting plugin's domain",
                 subject=subject,
                 hint="every emitted plugin call must sit inside a "
-                "try/except that splits or classifies the fault",
+                "try/except that classifies the fault via on_fault",
             )
         )
     for handler in handlers:
-        if not _handler_resumes(handler):
+        if not _handler_classifies(handler):
             diagnostics.append(
                 Diagnostic(
                     "RP503",
-                    "generated fault handler neither resumes via a "
-                    "_split_* helper nor classifies via on_fault nor "
-                    "re-raises",
+                    "generated fault handler neither classifies via "
+                    "on_fault nor re-raises",
                     subject=subject,
                     file="<repro.core.batch>",
                     line=handler.lineno,
-                    hint="faults must re-enter the scalar path with the "
-                    "batch's residue (the _split_* contract)",
+                    hint="map the fault to the faulting packet's verdict "
+                    "with on_fault, in scalar order",
                 )
             )
 
@@ -200,7 +198,7 @@ def audit_loop_source(
     return diagnostics
 
 
-def _handler_resumes(handler: ast.ExceptHandler) -> bool:
+def _handler_classifies(handler: ast.ExceptHandler) -> bool:
     for node in ast.walk(handler):
         if isinstance(node, ast.Raise):
             return True
@@ -211,9 +209,7 @@ def _handler_resumes(handler: ast.ExceptHandler) -> bool:
                 name = func.id
             elif isinstance(func, ast.Attribute):
                 name = func.attr
-            if name is not None and (
-                name.startswith("_split_") or name == "on_fault"
-            ):
+            if name == "on_fault":
                 return True
     return False
 
@@ -240,11 +236,16 @@ def _audit_plan_markers(source: str, plan: dict, subject: str) -> List[Diagnosti
             bad(field, f"plan sets {field} but {marker!r} never appears")
         elif bidirectional and not plan.get(field) and present:
             bad(field, f"plan clears {field} but {marker!r} appears")
-    if plan.get("fused"):
-        if "on_fault" not in source:
-            bad("fused", "fused loops must classify faults via on_fault")
-    elif "_split_" not in source:
-        bad("fused", "non-fused loops must resume faults via _split_*")
+    if "on_fault" not in source:
+        diagnostics.append(
+            Diagnostic(
+                "RP504",
+                "generated loop never classifies faults via on_fault",
+                subject=subject,
+                hint="every loop maps plugin faults inline through "
+                "on_fault, in scalar order",
+            )
+        )
     if plan.get("hooks") and "for hook in HOOKS" not in source:
         bad("hooks", "batch hooks registered but never dispatched")
     if not plan.get("plain") and "iface.output(packet, now)" not in source:
@@ -408,18 +409,8 @@ def audit_router_codegen(
     for index, (key, fn) in enumerate(
         sorted(getattr(router, "_batch_loops", {}).items(), key=lambda kv: repr(kv[0]))
     ):
-        plan = getattr(fn, "_plan", None) or {}
-        if plan.get("fused"):
-            shape = "fused"
-        elif plan.get("pre"):
-            shape = "lanes"
-        else:
-            shape = "single"
         diagnostics.extend(
-            audit_loop(
-                fn,
-                subject=f"{subject_prefix}batch loop #{index} ({shape})",
-            )
+            audit_loop(fn, subject=f"{subject_prefix}batch loop #{index}")
         )
     for (gate, width), table in sorted(
         getattr(router.aiu, "_tables", {}).items(),

@@ -54,7 +54,7 @@ CODES: Dict[str, Tuple[str, str]] = {
     # RP5xx — exec-codegen audit (repro.analysis.codegen_audit).
     "RP501": (ERROR, "compiled loop references a name outside its allowlisted closure"),
     "RP502": (ERROR, "nondeterministic builtin in generated data-path code"),
-    "RP503": (ERROR, "generated fault handler lacks a split/resume path"),
+    "RP503": (ERROR, "generated fault handler neither classifies nor re-raises"),
     "RP504": (ERROR, "compiled loop source does not reflect its specialization key"),
     "RP505": (ERROR, "compiled lookup structure violates its shape invariants"),
 }

@@ -115,22 +115,24 @@ def _script_diagnostic(error):
 
 
 def _self_codegen_audit() -> List:
-    """Warm each generated loop shape (single, lanes, fused) on a
-    scratch router and audit it, so the self-lint gate exercises the
-    RP5xx checks against real emitter output on every CI run."""
+    """Warm the batch loop on three scratch router configurations (no
+    active pre gate; an active pre gate over an unbounded flow table;
+    the same over a bounded one) and audit each, so the self-lint gate
+    exercises the RP5xx checks against real emitter output on every CI
+    run."""
     from ..core.gates import DEFAULT_GATES, GATE_IP_SECURITY
     from ..core.router import Router
     from ..mgr.library import RouterPluginLibrary
     from ..net.packet import make_udp
 
     diagnostics: List = []
-    for shape, max_flows, with_plugin in (
-        ("single", None, False),
-        ("lanes", None, True),
-        ("fused", 64, True),
+    for config, max_flows, with_plugin in (
+        ("no-pre-gate", None, False),
+        ("pre-gate", None, True),
+        ("pre-gate-bounded", 64, True),
     ):
         router = Router(
-            name=f"self-lint-{shape}", gates=DEFAULT_GATES, max_flows=max_flows
+            name=f"self-lint-{config}", gates=DEFAULT_GATES, max_flows=max_flows
         )
         router.add_interface("atm0", prefix="10.0.0.0/8")
         router.add_interface("atm1", prefix="20.0.0.0/8")
@@ -143,7 +145,7 @@ def _self_codegen_audit() -> List:
             [make_udp("10.0.0.1", "20.0.1.1", 5000, 9000, iif="atm0")]
         )
         diagnostics.extend(
-            audit_router_codegen(router, subject_prefix=f"self-lint {shape}: ")
+            audit_router_codegen(router, subject_prefix=f"self-lint {config}: ")
         )
     return diagnostics
 
@@ -151,7 +153,7 @@ def _self_codegen_audit() -> List:
 def self_lint(engine_names: Optional[List[str]] = None) -> AnalysisReport:
     """The CI self-check: lint every built-in plugin (hot-path and
     shard-safety passes), sweep the shard/batch layers themselves, warm
-    and audit every generated loop shape, then build a small seeded
+    and audit the generated batch loop, then build a small seeded
     filter table per BMP engine and verify compiled/interpreted
     equivalence for the DAG and the engines."""
     from ..aiu.dag import DagFilterTable

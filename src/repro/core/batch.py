@@ -1,55 +1,39 @@
 """Per-plan compiled batch loops for ``Router.receive_batch``.
 
-PR 3 compiled the *classifier* per filter-set; this module extends the
-same technique to the dispatch loop itself.  ``loop_for`` returns a
+The classifier is compiled per filter-set (:mod:`repro.aiu.dag`); this
+module extends the same technique to the dispatch loop itself.  ``loop_for`` returns a
 batch-loop function generated with ``exec`` and specialized to the
 router's current configuration:
 
 * the active-gate plan (which gates actually have filters),
 * telemetry on/off (the per-gate dispatch cells are compiled in or out),
 * the flow table's eviction policy and whether it is bounded,
-* whether any local addresses / quarantined plugins exist,
+* whether any local addresses exist,
 * whether every interface is a plain :class:`NetworkInterface` (the
   transmit bookkeeping can then be inlined).
 
-Three loop shapes are generated:
+Every loop has the same shape: one run-to-completion pass per packet,
+in scalar order — the flow-table probe (hit, or install plus filter
+walk on a miss), each active pre-routing gate's plugin call, then the
+demux, route, and emit tail, with the route memo and transmit inlined.
 
-``single``  — one run-to-completion pass per packet with the flow-table
-              probe, route memo, and transmit inlined; used when no
-              pre-routing gate has filters.
-``lanes``   — a vectorized classify stage partitions the batch into
-              cached-hit and miss work against the flow table (misses
-              additionally walk the filter tables), then each active
-              gate's plugin runs once per batch over the surviving lane
-              with a pooled context, then a per-packet tail performs
-              route lookup and batched emit.
-``fused``   — the ``single`` pass with quarantine interception and
-              fault mapping inlined; selected whenever a plugin is
-              quarantined or the flow table is bounded (in-batch
-              evictions must interleave with packet processing exactly
-              as the scalar path would).
+Every loop is *behaviorally identical* to calling ``receive`` in a
+loop — dispositions, counters, flow-table and telemetry state, plugin
+call order, and fault records are packet-for-packet equal (asserted by
+tests/perf/test_batch_pipeline.py) and modelled cycles are untouched
+because the batch path only ever runs unmetered.  The win is
+wall-clock only: per-batch prologues hoist every invariant load, and
+the per-packet interpreter overhead of the scalar walk (10-20 method
+calls) collapses into straight-line code.
 
-Every shape is *behaviorally identical* to calling ``receive`` in a
-loop — dispositions, counters, flow-table and telemetry state are
-packet-for-packet equal (asserted by tests/perf/test_batch_pipeline.py)
-and modelled cycles are untouched because the batch path only ever runs
-unmetered.  The win is wall-clock only: per-batch prologues hoist every
-invariant load, and the per-packet interpreter overhead of the scalar
-walk (10-20 method calls) collapses into straight-line code.
+Every plugin call checks the live quarantine map first and maps a
+fault inline through ``on_fault``, exactly as the scalar gate macro
+does.  ``router._quarantined`` is mutated in place, so a quarantine
+tripped by one packet intercepts the later packets of the same batch.
 
-A mid-batch plugin fault cannot be run-to-completion: the scalar path
-would process later packets *after* the fault's verdict (and possible
-quarantine trip).  The generated loops therefore bail out to a split
-helper that finishes earlier packets with interception suppressed (their
-plugin calls logically preceded the fault), applies the fault verdict to
-the faulting packet, and re-runs the remainder through the scalar walk.
-
-Documented divergences (see docs/PERFORMANCE.md): filter-set changes
+Documented divergence (see docs/PERFORMANCE.md): filter-set changes
 made *by a plugin mid-batch* take effect at the next batch boundary
-(the plan is checked once per batch); with multiple faults in one batch
-the fault-ring sequence numbers may interleave differently than scalar;
-and an instance quarantined by a mid-batch scheduler fault is
-gate-intercepted only from the next batch on.
+(the plan is checked once per batch).
 """
 
 from __future__ import annotations
@@ -80,149 +64,6 @@ _MAX_CACHED_LOOPS = 32
 
 
 # ----------------------------------------------------------------------
-# Fault splitting: the batch loops return through these when a plugin
-# raises mid-batch.  Scalar equivalence argument per helper docstring.
-# ----------------------------------------------------------------------
-def _split_gate(
-    router, exc, instance, gate, gate_pos, gate_index,
-    lane_p, lane_i, live, j, now, out, cells,
-):
-    """A plugin raised during a pre-gate batch sweep.
-
-    Packets before the faulter already passed this gate; they resume at
-    the next plan position with quarantine interception suppressed —
-    scalar would have run them to completion *before* the fault could
-    trip a quarantine.  The faulter takes the fault verdict; packets
-    after it re-run this gate (and see any new quarantine), exactly as
-    the scalar order implies.
-    """
-    if cells is not None:
-        # The sweep bulk-counted the whole lane for this gate; packets
-        # after the faulter never ran it and will be re-counted by the
-        # scalar walk below.
-        cells[gate_index] -= len(lane_p) - j - 1
-    verdict = router.faults.on_fault(instance, gate, exc, lane_p[j], now)
-    pool = router._ctx_pool
-    walk = router._walk_fast
-    counters = router.counters
-    for k in range(j):
-        if live is None or live[k]:
-            out[lane_i[k]] = walk(lane_p[k], gate_pos + 1, now, pool, False)
-    if verdict == Verdict.DROP:
-        counters[Disposition.DROPPED_BY_PLUGIN] += 1
-        out[lane_i[j]] = Disposition.DROPPED_BY_PLUGIN
-    elif verdict == Verdict.CONSUMED:
-        counters[Disposition.CONSUMED] += 1
-        out[lane_i[j]] = Disposition.CONSUMED
-    else:
-        out[lane_i[j]] = walk(lane_p[j], gate_pos + 1, now, pool)
-    for k in range(j + 1, len(lane_p)):
-        out[lane_i[k]] = walk(lane_p[k], gate_pos, now, pool)
-    return out
-
-
-def _fault_routing(router, exc, instance, packet, now):
-    """Apply a routing-gate fault verdict to one packet, mirroring
-    ``_route_fast`` + the no-route/forward tail of ``_walk_fast``."""
-    verdict = router.faults.on_fault(instance, GATE_ROUTING, exc, packet, now)
-    counters = router.counters
-    route = None
-    if verdict != Verdict.DROP:
-        route = packet.annotations.get("route")
-        if route is None:
-            table = router.routing_table
-            record = packet._fix
-            if record is not None:
-                if (
-                    record.route_version == table.version
-                    and record.route is not None
-                ):
-                    route = record.route
-                else:
-                    route = table.lookup_fast(packet.dst)
-                    if route is not None:
-                        record.route = route
-                        record.route_version = table.version
-            else:
-                route = table.lookup_fast(packet.dst)
-    if route is None:
-        counters[Disposition.DROPPED_NO_ROUTE] += 1
-        router._send_icmp(
-            destination_unreachable(packet, router._icmp_source(packet)), now
-        )
-        return Disposition.DROPPED_NO_ROUTE
-    packet.ttl -= 1
-    return router._output_fast(packet, route.interface, now, router._ctx_pool)
-
-
-def _fault_sched(router, exc, instance, packet, oif, iface, now):
-    """Apply a scheduling-gate fault verdict to one packet, mirroring
-    the sched-gate verdict handling in ``_output_fast`` (the MTU check
-    already passed before the gate ran)."""
-    verdict = router.faults.on_fault(
-        instance, GATE_PACKET_SCHEDULING, exc, packet, now
-    )
-    counters = router.counters
-    if verdict == Verdict.DROP:
-        counters[Disposition.DROPPED_BY_PLUGIN] += 1
-        return Disposition.DROPPED_BY_PLUGIN
-    if verdict == Verdict.CONSUMED:
-        router._schedulers.setdefault(oif, instance)
-        router._kick(oif, now)
-        counters[Disposition.QUEUED] += 1
-        return Disposition.QUEUED
-    iface.output(packet, now)
-    counters[Disposition.FORWARDED] += 1
-    return Disposition.FORWARDED
-
-
-def _split_routing(router, exc, instance, lane_p, lane_i, j, now, out, pre_count):
-    """Routing-gate fault during the lanes-shape tail sweep."""
-    out[lane_i[j]] = _fault_routing(router, exc, instance, lane_p[j], now)
-    pool = router._ctx_pool
-    walk = router._walk_fast
-    for k in range(j + 1, len(lane_p)):
-        out[lane_i[k]] = walk(lane_p[k], pre_count, now, pool)
-    return out
-
-
-def _split_tail(
-    router, exc, instance, oif, iface, lane_p, lane_i, j, now, out, pre_count
-):
-    """Scheduling-gate fault during the lanes-shape tail sweep."""
-    out[lane_i[j]] = _fault_sched(
-        router, exc, instance, lane_p[j], oif, iface, now
-    )
-    pool = router._ctx_pool
-    walk = router._walk_fast
-    for k in range(j + 1, len(lane_p)):
-        out[lane_i[k]] = walk(lane_p[k], pre_count, now, pool)
-    return out
-
-
-def _split_single_routing(router, exc, instance, packets, i, now, out):
-    """Routing-gate fault in a single-pass loop: later packets have not
-    been classified yet, so they resume through the full scalar walk
-    (minus the ``rx`` count, taken once for the batch)."""
-    out[i] = _fault_routing(router, exc, instance, packets[i], now)
-    resume = router._resume_fast
-    pool = router._ctx_pool
-    for k in range(i + 1, len(packets)):
-        out[k] = resume(packets[k], now, pool)
-    return out
-
-
-def _split_single_sched(router, exc, instance, oif, iface, packets, i, now, out):
-    """Scheduling-gate fault in a single-pass loop."""
-    out[i] = _fault_sched(router, exc, instance, packets[i], oif, iface, now)
-    resume = router._resume_fast
-    pool = router._ctx_pool
-    for k in range(i + 1, len(packets)):
-        out[k] = resume(packets[k], now, pool)
-    return out
-
-
-# ----------------------------------------------------------------------
 # Compilation entry point
 # ----------------------------------------------------------------------
 def loop_for(router) -> Optional[Callable]:
@@ -250,15 +91,10 @@ def loop_for(router) -> Optional[Callable]:
         # already routes around the loops; this guards direct callers.
         return None
     bounded = table.max_records is not None
-    # Bounded tables interleave evictions with packet processing and a
-    # live quarantine intercepts every plugin call — both must stay in
-    # scalar order, which only the fused single-pass shape preserves.
-    fused = bounded or bool(router._quarantined)
     plain = all(
         type(iface) is NetworkInterface for iface in router.interfaces.values()
     )
     key = (
-        fused,
         router._plan_epoch,
         router._plan_pre_active,
         router._plan_routing_active,
@@ -274,7 +110,7 @@ def loop_for(router) -> Optional[Callable]:
     if loop is None:
         if len(loops) >= _MAX_CACHED_LOOPS:
             loops.clear()
-        loop = _compile(router, fused, plain)
+        loop = _compile(router, plain)
         loops[key] = loop
     return loop
 
@@ -298,11 +134,10 @@ def _batch_hooks(router) -> tuple:
     return tuple(hooks)
 
 
-def _compile(router, fused: bool, plain: bool) -> Callable:
+def _compile(router, plain: bool) -> Callable:
     aiu = router.aiu
     table = aiu.flow_table
     plan = {
-        "fused": fused,
         "pre": router._plan_pre_active,
         "tm": router._tm_gate_cells is not None,
         "local": bool(router.local_addresses),
@@ -340,14 +175,8 @@ def _compile(router, fused: bool, plain: bool) -> Callable:
         "QUED": Disposition.QUEUED,
         "CONSD": Disposition.CONSUMED,
         "RGATE": GATE_ROUTING,
-        "SGATE": GATE_PACKET_SCHEDULING,
         "HOOKS": plan["hooks"],
         "MAXR": table.max_records,
-        "_split_gate": _split_gate,
-        "_split_routing": _split_routing,
-        "_split_tail": _split_tail,
-        "_split_single_routing": _split_single_routing,
-        "_split_single_sched": _split_single_sched,
     }
     code = compile(source, "<repro.core.batch>", "exec")
     exec(code, namespace)
@@ -368,10 +197,7 @@ def _emit(plan) -> str:
             lines.append("    " * depth + raw if raw.strip() else "")
 
     _emit_prologue(blk, plan)
-    if plan["fused"] or not plan["pre"]:
-        _emit_single(blk, plan)
-    else:
-        _emit_lanes(blk, plan)
+    _emit_pass(blk, plan)
     blk(1, """
         finally:
             if fwd:
@@ -417,13 +243,12 @@ def _emit_prologue(blk, plan):
         """)
     if plan["local"]:
         blk(1, "local_addrs = router.local_addresses")
-    if plan["fused"]:
-        blk(1, """
-            qmap = router._quarantined
-            qget = qmap.get
-            on_fault = router.faults.on_fault
-            probe_ok = router.faults.probe_succeeded
-        """)
+    blk(1, """
+        qmap = router._quarantined
+        qget = qmap.get
+        on_fault = router.faults.on_fault
+        probe_ok = router.faults.probe_succeeded
+    """)
     if plan["hooks"]:
         blk(1, """
             for hook in HOOKS:
@@ -670,11 +495,11 @@ def _emit_allocate(blk, plan, depth):
     """)
 
 
-def _emit_gate_call(blk, plan, depth, gate, gi, fault_lines):
+def _emit_gate_call(blk, depth, gate, gi):
     """One gate's plugin invocation for one packet: the scalar gate
-    macro (``_gate_fast``) inlined, with interception only in the fused
-    shape.  ``fault_lines`` is the except-branch body.  Returns the
-    depth at which the caller must emit its verdict handling (it is
+    macro (``_gate_fast``) inlined — live quarantine interception, the
+    plugin call, and inline fault mapping through ``on_fault``.  Returns
+    the depth at which the caller must emit its verdict handling (it is
     skipped when no call happened)."""
     blk(depth, f"""
         record = packet._fix
@@ -684,11 +509,7 @@ def _emit_gate_call(blk, plan, depth, gate, gi, fault_lines):
         else:
             gslot = record.slots[{gi}]
             ginst = gslot.instance if gslot is not None else None
-    """)
-    blk(depth, "if ginst is not None:")
-    d = depth + 1
-    if plan["fused"]:
-        blk(d, """
+        if ginst is not None:
             probe = False
             call = True
             if qmap:
@@ -704,48 +525,45 @@ def _emit_gate_call(blk, plan, depth, gate, gi, fault_lines):
                         call = False
                         gdrop = True
             if call:
-        """)
-        d += 1
+    """)
+    d = depth + 2
     ctx_lines = [f"ctx_{gi}.slot = gslot", f"ctx_{gi}.flow = record"]
     if gate == GATE_PACKET_SCHEDULING:
         ctx_lines.append(f"ctx_{gi}.out_interface = oif")
     blk(d, "\n".join(ctx_lines))
-    blk(d, "try:")
-    blk(d + 1, f"verdict = ginst.process(packet, ctx_{gi})")
-    blk(d, "except Exception as exc:")
-    blk(d + 1, fault_lines)
-    if plan["fused"]:
-        blk(d, """
-            else:
-                if probe:
-                    probe_ok(ginst, now)
-        """)
+    blk(d, f"""
+        try:
+            verdict = ginst.process(packet, ctx_{gi})
+        except Exception as exc:
+            verdict = on_fault(ginst, {gate!r}, exc, packet, now)
+        else:
+            if probe:
+                probe_ok(ginst, now)
+    """)
     return d
 
 
-def _emit_tail(blk, plan, depth, idx, shape):
-    """The per-packet tail: multicast/local/TTL demux, route, output.
-    ``shape`` picks the fault handling: 'fused' maps verdicts inline,
-    'lanes' and 'single' return through the split helpers."""
+def _emit_tail(blk, plan, depth):
+    """The per-packet tail: multicast/local/TTL demux, route, output."""
     # -- demux ---------------------------------------------------------
-    blk(depth, f"""
+    blk(depth, """
         dst_a = packet.dst
         if ((dst_a.value >> 28) == 14 if dst_a.width == 32
                 else (dst_a.value >> 120) == 255):
-            out[{idx}] = router._multicast_forward(packet, now, NULL)
+            out[i] = router._multicast_forward(packet, now, NULL)
             continue
     """)
     if plan["local"]:
-        blk(depth, f"""
+        blk(depth, """
             if dst_a in local_addrs:
-                out[{idx}] = router._deliver_local(packet, now)
+                out[i] = router._deliver_local(packet, now)
                 continue
         """)
-    blk(depth, f"""
+    blk(depth, """
         if packet.ttl <= 1:
             counters[DTTL] += 1
             router._send_icmp(TEXC(packet, router._icmp_source(packet)), now)
-            out[{idx}] = DTTL
+            out[i] = DTTL
             continue
     """)
     # -- route ---------------------------------------------------------
@@ -764,19 +582,7 @@ def _emit_tail(blk, plan, depth, idx, shape):
         if plan["tm"]:
             blk(depth, f"cells[{rgi}] += 1")
         blk(depth, "gdrop = False")
-        if shape == "fused":
-            fault = "verdict = on_fault(ginst, RGATE, exc, packet, now)"
-        elif shape == "lanes":
-            fault = (
-                "return _split_routing(router, exc, ginst, lane_p, lane_i,\n"
-                f"                      j, now, out, {len(plan['pre'])})"
-            )
-        else:
-            fault = (
-                "return _split_single_routing(router, exc, ginst, packets,\n"
-                "                             i, now, out)"
-            )
-        d = _emit_gate_call(blk, plan, depth, GATE_ROUTING, rgi, fault)
+        d = _emit_gate_call(blk, depth, GATE_ROUTING, rgi)
         blk(d, """
             if verdict == DROPV:
                 gdrop = True
@@ -813,42 +619,30 @@ def _emit_tail(blk, plan, depth, idx, shape):
             else:
                 route = rlookup(packet.dst)
         """)
-    blk(depth, f"""
+    blk(depth, """
         if route is None:
             counters[DNR] += 1
             router._send_icmp(DUNR(packet, router._icmp_source(packet)), now)
-            out[{idx}] = DNR
+            out[i] = DNR
             continue
         packet.ttl -= 1
         oif = route.interface
         iface = ifget(oif)
         if iface is None:
             counters[DNR] += 1
-            out[{idx}] = DNR
+            out[i] = DNR
             continue
         size = packet._length
         if size < 0:
             size = packet.length
         if size > iface.mtu:
-            out[{idx}] = router._output(packet, oif, now, NULL)
+            out[i] = router._output(packet, oif, now, NULL)
             continue
     """)
     # -- scheduling gate / bound scheduler -----------------------------
     blk(depth, "ginst = None")
     if plan["has_sched"]:
         sgi = plan["sched_gi"]
-        if shape == "fused":
-            fault = "verdict = on_fault(ginst, SGATE, exc, packet, now)"
-        elif shape == "lanes":
-            fault = (
-                "return _split_tail(router, exc, ginst, oif, iface, lane_p,\n"
-                f"                   lane_i, j, now, out, {len(plan['pre'])})"
-            )
-        else:
-            fault = (
-                "return _split_single_sched(router, exc, ginst, oif, iface,\n"
-                "                           packets, i, now, out)"
-            )
         d = depth
         if not plan["sched_active"]:
             # Plan-inactive sched gate still runs for packets whose FIX
@@ -858,24 +652,24 @@ def _emit_tail(blk, plan, depth, idx, shape):
         blk(d, "gdrop = False")
         if plan["tm"]:
             blk(d, f"cells[{sgi}] += 1")
-        dd = _emit_gate_call(blk, plan, d, GATE_PACKET_SCHEDULING, sgi, fault)
-        blk(dd, f"""
+        dd = _emit_gate_call(blk, d, GATE_PACKET_SCHEDULING, sgi)
+        blk(dd, """
             if verdict == DROPV:
                 gdrop = True
             elif verdict == CONSV:
                 schedulers.setdefault(oif, ginst)
                 router._kick(oif, now)
                 counters[QUED] += 1
-                out[{idx}] = QUED
+                out[i] = QUED
                 continue
         """)
-        blk(d, f"""
+        blk(d, """
             if gdrop:
                 counters[DBP] += 1
-                out[{idx}] = DBP
+                out[i] = DBP
                 continue
         """)
-    blk(depth, f"""
+    blk(depth, """
         if ginst is None and schedulers:
             sched = schedulers.get(oif)
             if sched is not None:
@@ -883,11 +677,11 @@ def _emit_tail(blk, plan, depth, idx, shape):
                 if verdict == CONSV:
                     router._kick(oif, now)
                     counters[QUED] += 1
-                    out[{idx}] = QUED
+                    out[i] = QUED
                     continue
                 if verdict == DROPV:
                     counters[DBP] += 1
-                    out[{idx}] = DBP
+                    out[i] = DBP
                     continue
     """)
     # -- emit ----------------------------------------------------------
@@ -910,20 +704,16 @@ def _emit_tail(blk, plan, depth, idx, shape):
     blk(depth, "fwd += 1")
 
 
-def _emit_single(blk, plan):
-    """Single-pass shapes: plain (no active pre gates) and fused (pre
-    gates inlined per packet with interception)."""
-    shape = "fused" if plan["fused"] else "single"
+def _emit_pass(blk, plan):
+    """The one loop shape: classify, each active pre gate, then the
+    tail — one scalar-ordered pass per packet."""
     blk(2, "for i, packet in enumerate(packets):")
     _emit_classify(blk, plan, 3)
     for gate, gi in plan["pre"]:
-        # Only the fused shape reaches here with pre gates (the plain
-        # single shape is selected when the active-pre plan is empty).
         if plan["tm"]:
             blk(3, f"cells[{gi}] += 1")
         blk(3, "gdrop = False")
-        fault = f"verdict = on_fault(ginst, {gate!r}, exc, packet, now)"
-        d = _emit_gate_call(blk, plan, 3, gate, gi, fault)
+        d = _emit_gate_call(blk, 3, gate, gi)
         blk(d, """
             if verdict == DROPV:
                 gdrop = True
@@ -938,74 +728,4 @@ def _emit_single(blk, plan):
                 out[i] = DBP
                 continue
         """)
-    _emit_tail(blk, plan, 3, "i", shape)
-
-
-def _emit_lanes(blk, plan):
-    """The staged shape: classify the whole batch into lanes, sweep each
-    active pre gate over the surviving lane, then the per-packet tail."""
-    blk(2, """
-        lane_p = []
-        lane_i = []
-        lpa = lane_p.append
-        lia = lane_i.append
-        for i, packet in enumerate(packets):
-    """)
-    _emit_classify(blk, plan, 3)
-    blk(3, """
-        lpa(packet)
-        lia(i)
-    """)
-    for pos, (gate, gi) in enumerate(plan["pre"]):
-        blk(2, f"""
-            # --- gate sweep: {gate} ---
-            lane_n = len(lane_p)
-            if lane_n:
-        """)
-        if plan["tm"]:
-            blk(3, f"cells[{gi}] += lane_n")
-        blk(3, """
-            live = None
-            pruned = 0
-            for j, packet in enumerate(lane_p):
-        """)
-        fault = (
-            f"return _split_gate(router, exc, ginst, {gate!r}, {pos}, {gi},\n"
-            "                   lane_p, lane_i, live, j, now, out,\n"
-            + ("                   cells)" if plan["tm"]
-               else "                   None)")
-        )
-        d = _emit_gate_call(blk, plan, 4, gate, gi, fault)
-        blk(d, """
-            if verdict == DROPV:
-                if live is None:
-                    live = [True] * lane_n
-                live[j] = False
-                pruned += 1
-                counters[DBP] += 1
-                out[lane_i[j]] = DBP
-            elif verdict == CONSV:
-                if live is None:
-                    live = [True] * lane_n
-                live[j] = False
-                pruned += 1
-                counters[CONSD] += 1
-                out[lane_i[j]] = CONSD
-        """)
-        blk(3, """
-            if pruned:
-                keep_p = []
-                keep_i = []
-                for j, ok in enumerate(live):
-                    if ok:
-                        keep_p.append(lane_p[j])
-                        keep_i.append(lane_i[j])
-                lane_p = keep_p
-                lane_i = keep_i
-        """)
-    blk(2, """
-        # --- per-packet tail: demux, route, emit ---
-        for j, packet in enumerate(lane_p):
-            idx = lane_i[j]
-    """)
-    _emit_tail(blk, plan, 3, "idx", "lanes")
+    _emit_tail(blk, plan, 3)

@@ -271,10 +271,10 @@ class Router:
         Semantically identical to calling :meth:`receive` in sequence
         (property-tested), but executed as a true batch pipeline: one
         plan/epoch check for the whole batch, then a per-plan *compiled
-        batch loop* (repro.core.batch) that partitions the batch into
-        cached-hit and miss lanes, runs each active gate once over the
-        batch with pooled contexts, and emits through the interfaces
-        with the invariant loads hoisted into a per-batch prologue.
+        batch loop* (repro.core.batch) that runs each packet through
+        classify, the active gates, route, and emit in scalar order,
+        with pooled contexts and the invariant loads hoisted into a
+        per-batch prologue.
         Configurations the compiler does not specialize (flow cache off,
         IPv6 flow-label hashing, no pre-routing gate) fall back to the
         scalar fast path per packet.
@@ -371,14 +371,9 @@ class Router:
         return None
 
     def _receive_fast(self, packet: Packet, now: float, ctx_pool) -> str:
+        """The fast path: classify anchor, the active pre-routing gates,
+        then the tail (multicast/local/TTL demux, route, output)."""
         self.counters["rx"] += 1
-        return self._resume_fast(packet, now, ctx_pool)
-
-    def _resume_fast(self, packet: Packet, now: float, ctx_pool) -> str:
-        """The fast path minus the ``rx`` count: classify anchor plus the
-        full gate walk.  The compiled batch loops (repro.core.batch) land
-        here when a mid-batch fault splits a batch — ``rx`` was already
-        counted once for the whole batch."""
         # Classification is anchored where the metered path performs it:
         # the first gate the packet encounters.  Gates with no filters
         # are then skipped entirely — their modelled GATE_CHECK/FIX
@@ -386,27 +381,9 @@ class Router:
         # charged for every configured gate.
         if packet._fix is None and self._first_pre_gate is not None:
             self.aiu.classify(packet, self._first_pre_gate, now=now)
-        return self._walk_fast(packet, 0, now, ctx_pool)
-
-    def _walk_fast(
-        self, packet: Packet, gate_pos: int, now: float, ctx_pool,
-        intercept: bool = True,
-    ) -> str:
-        """Classify-complete continuation of the fast path: the active
-        pre-routing gates from plan position ``gate_pos`` on, then the
-        tail (multicast/local/TTL demux, route, output).
-
-        ``intercept=False`` suppresses quarantine interception for
-        packets whose remaining plugin calls logically *precede* the
-        fault that tripped the quarantine — the batch splitter uses it
-        to keep resumed packets scalar-identical.
-        """
-        plan = self._plan_pre_active
-        if gate_pos:
-            plan = plan[gate_pos:]
-        for gate, gate_index in plan:
+        for gate, gate_index in self._plan_pre_active:
             verdict, _instance = self._gate_fast(
-                packet, gate, gate_index, now, None, ctx_pool, intercept
+                packet, gate, gate_index, now, None, ctx_pool
             )
             if verdict == Verdict.DROP:
                 self.counters[Disposition.DROPPED_BY_PLUGIN] += 1
@@ -424,7 +401,7 @@ class Router:
             self._send_icmp(time_exceeded(packet, self._icmp_source(packet)), now)
             return Disposition.DROPPED_TTL
 
-        route = self._route_fast(packet, now, ctx_pool, intercept)
+        route = self._route_fast(packet, now, ctx_pool)
         if route is None:
             self.counters[Disposition.DROPPED_NO_ROUTE] += 1
             self._send_icmp(
@@ -433,7 +410,7 @@ class Router:
             return Disposition.DROPPED_NO_ROUTE
 
         packet.ttl -= 1
-        return self._output_fast(packet, route.interface, now, ctx_pool, intercept)
+        return self._output_fast(packet, route.interface, now, ctx_pool)
 
     def _gate_fast(
         self,
@@ -443,7 +420,6 @@ class Router:
         now: float,
         oif: Optional[str],
         ctx_pool,
-        intercept: bool = True,
     ) -> Tuple[str, Optional[object]]:
         """The gate macro without meters: FIX fetch, indirect call."""
         cells = self._tm_gate_cells
@@ -458,7 +434,7 @@ class Router:
         if instance is None:
             return Verdict.CONTINUE, None
         probe = False
-        if intercept and self._quarantined:
+        if self._quarantined:
             action, probe = self._intercept(instance, now)
             if action is not None:
                 if action == DEGRADE_BYPASS:
@@ -504,14 +480,12 @@ class Router:
             return None, True
         return action, False
 
-    def _route_fast(
-        self, packet: Packet, now: float, ctx_pool, intercept: bool = True
-    ) -> Optional[Route]:
+    def _route_fast(self, packet: Packet, now: float, ctx_pool) -> Optional[Route]:
         if self._has_routing_gate:
             if self._plan_routing_active:
                 verdict, _ = self._gate_fast(
                     packet, GATE_ROUTING, self._gate_indices[GATE_ROUTING],
-                    now, None, ctx_pool, intercept,
+                    now, None, ctx_pool,
                 )
                 if verdict == Verdict.DROP:
                     return None
@@ -536,10 +510,7 @@ class Router:
             return route
         return table.lookup_fast(packet.dst)
 
-    def _output_fast(
-        self, packet: Packet, oif: str, now: float, ctx_pool,
-        intercept: bool = True,
-    ) -> str:
+    def _output_fast(self, packet: Packet, oif: str, now: float, ctx_pool) -> str:
         iface = self.interfaces.get(oif)
         if iface is None:
             self.counters[Disposition.DROPPED_NO_ROUTE] += 1
@@ -561,7 +532,6 @@ class Router:
                     now,
                     oif,
                     ctx_pool,
-                    intercept,
                 )
                 if verdict == Verdict.DROP:
                     self.counters[Disposition.DROPPED_BY_PLUGIN] += 1
@@ -575,7 +545,7 @@ class Router:
                 scheduler = self._schedulers[oif]
                 if scheduler is not None:
                     verdict = self._scheduler_process(
-                        scheduler, packet, oif, now, NULL_METER, intercept
+                        scheduler, packet, oif, now, NULL_METER
                     )
                     if verdict == Verdict.CONSUMED:
                         self._kick(oif, now)
@@ -800,15 +770,14 @@ class Router:
         return verdict, instance
 
     def _scheduler_process(
-        self, scheduler, packet: Packet, oif: str, now: float, cycles,
-        intercept: bool = True,
+        self, scheduler, packet: Packet, oif: str, now: float, cycles
     ) -> Optional[str]:
         """Run a bound per-interface scheduler's ``process`` under fault
         containment; identical on the fast and metered paths.  Returns
         the verdict, or ``None`` when quarantine bypass says to skip the
         scheduler and output the packet directly."""
         probe = False
-        if intercept and self._quarantined:
+        if self._quarantined:
             action, probe = self._intercept(scheduler, now)
             if action is not None:
                 if action == DEGRADE_BYPASS:

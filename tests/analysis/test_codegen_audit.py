@@ -25,7 +25,7 @@ from repro.net.packet import make_udp
 from repro.workloads.filtersets import random_filters
 
 # A minimal well-formed "generated" loop: free names resolved by the
-# namespace, a fault handler that resumes through a _split_* helper.
+# namespace, a fault handler that classifies through on_fault.
 CLEAN_SOURCE = '''\
 def _batch_loop(packets, now):
     out = []
@@ -33,11 +33,11 @@ def _batch_loop(packets, now):
         try:
             out.append(classify(packet, now))
         except Exception as exc:
-            return _split_resume(packets, out, exc)
+            out.append(on_fault(exc))
     return out
 '''
 
-NAMESPACE = {"classify": lambda p, n: "forward", "_split_resume": lambda *a: []}
+NAMESPACE = {"classify": lambda p, n: "forward", "on_fault": lambda e: "drop"}
 
 
 def _codes(diagnostics):
@@ -52,7 +52,7 @@ def test_clean_source_audits_clean():
 
 
 def test_rp501_unresolved_free_name():
-    namespace = {"_split_resume": NAMESPACE["_split_resume"]}  # no classify
+    namespace = {"on_fault": NAMESPACE["on_fault"]}  # no classify
     findings = audit_loop_source(CLEAN_SOURCE, namespace)
     assert _codes(findings) == ["RP501"]
     assert "'classify'" in findings[0].message
@@ -78,7 +78,7 @@ def test_rp502_wins_over_rp501_for_forbidden_names():
 
 
 # ----------------------------------------------------------------------
-# RP503 — fault split/resume
+# RP503 — fault classification
 # ----------------------------------------------------------------------
 def test_rp503_no_handler_at_all():
     source = '''\
@@ -91,28 +91,30 @@ def _batch_loop(packets, now):
 
 
 def test_rp503_swallowing_handler():
-    source = CLEAN_SOURCE.replace(
-        "return _split_resume(packets, out, exc)", "out.append(None)"
-    )
+    source = CLEAN_SOURCE.replace("out.append(on_fault(exc))", "out.append(None)")
     findings = audit_loop_source(source, NAMESPACE)
     assert "RP503" in _codes(findings)
-    assert any("neither resumes" in d.message for d in findings)
+    assert any("neither classifies" in d.message for d in findings)
 
 
 def test_rp503_reraise_is_accepted():
-    source = CLEAN_SOURCE.replace(
-        "return _split_resume(packets, out, exc)", "raise"
-    )
+    source = CLEAN_SOURCE.replace("out.append(on_fault(exc))", "raise")
     assert audit_loop_source(source, NAMESPACE) == []
 
 
 def test_rp503_on_fault_is_accepted():
+    assert audit_loop_source(CLEAN_SOURCE, NAMESPACE) == []
+
+
+def test_rp503_split_helper_is_not_accepted():
+    """Resuming the batch through a helper instead of mapping the fault
+    inline is no longer a fault-handling contract."""
     source = CLEAN_SOURCE.replace(
-        "return _split_resume(packets, out, exc)",
-        "out.append(on_fault(exc))",
+        "out.append(on_fault(exc))", "return _split_resume(packets, out, exc)"
     )
-    namespace = dict(NAMESPACE, on_fault=lambda e: "drop")
-    assert audit_loop_source(source, namespace) == []
+    namespace = dict(NAMESPACE, _split_resume=lambda *a: [])
+    findings = audit_loop_source(source, namespace)
+    assert _codes(findings) == ["RP503"]
 
 
 # ----------------------------------------------------------------------
@@ -136,9 +138,12 @@ def test_rp504_marker_without_plan_field():
     assert "clears" in findings[0].message
 
 
-def test_rp504_fused_without_on_fault():
-    plan = {"fused": True, "plain": True}
-    findings = audit_loop_source(CLEAN_SOURCE, NAMESPACE, plan=plan)
+def test_rp504_loop_without_on_fault():
+    """RP503 accepts a re-raising handler, but a compiled loop must
+    still classify faults via on_fault somewhere."""
+    source = CLEAN_SOURCE.replace("out.append(on_fault(exc))", "raise")
+    plan = {"plain": True}
+    findings = audit_loop_source(source, NAMESPACE, plan=plan)
     assert _codes(findings) == ["RP504"]
     assert "on_fault" in findings[0].message
 
@@ -229,8 +234,8 @@ def test_rp505_engine_entry_count_mismatch():
 
 
 # ----------------------------------------------------------------------
-# Router-level audit: warm loops across all three shapes, then via
-# analyze_router
+# Router-level audit: warm loops across three router configurations,
+# then via analyze_router
 # ----------------------------------------------------------------------
 def _warm_router(name, max_flows=None, with_plugin=False):
     router = Router(name=name, gates=DEFAULT_GATES, max_flows=max_flows)
@@ -247,13 +252,16 @@ def _warm_router(name, max_flows=None, with_plugin=False):
     return router
 
 
+# Labels (kept as stable test ids): "single" has no active pre gate,
+# "lanes" an active pre gate over an unbounded flow table, "fused" the
+# same over a bounded one.  All three compile the same loop shape.
 @pytest.mark.parametrize(
-    "max_flows,with_plugin,shape",
+    "max_flows,with_plugin,label",
     [(None, False, "single"), (None, True, "lanes"), (64, True, "fused")],
 )
-def test_warm_router_audits_clean(max_flows, with_plugin, shape):
-    router = _warm_router(f"audit-{shape}", max_flows, with_plugin)
-    assert router._batch_loops  # the shape actually compiled
+def test_warm_router_audits_clean(max_flows, with_plugin, label):
+    router = _warm_router(f"audit-{label}", max_flows, with_plugin)
+    assert router._batch_loops  # the loop actually compiled
     assert audit_router_codegen(router) == []
 
 

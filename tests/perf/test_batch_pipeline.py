@@ -4,9 +4,11 @@
 drive the same seeded traffic through both entry points on twin routers
 and assert packet-for-packet identical dispositions plus identical
 counters, flow-table statistics, filter-lookup counts, telemetry cells,
-and fault/quarantine behavior — for every generated loop shape
-(``single``, ``lanes``, ``fused``) and for the scalar fallback configs
-the compiler refuses.
+plugin call order, and fault/quarantine behavior — across router
+configurations (no active pre gate, active pre gates over unbounded and
+bounded flow tables, telemetry, schedulers) that all compile the one
+scalar-ordered loop shape, and for the scalar fallback configs the
+compiler refuses.
 """
 
 import random
@@ -73,22 +75,6 @@ class _FaultyPlugin(Plugin):
     instance_class = _NthFaulter
 
 
-class _PortFaulter(PluginInstance):
-    """Faults on a fixed set of packets — order-invariant by design."""
-
-    def process(self, packet, ctx):
-        self.packets_processed += 1
-        if packet.src_port % 9 == 4:
-            raise RuntimeError(f"fault on src port {packet.src_port}")
-        return Verdict.CONTINUE
-
-
-class _PortFaultyPlugin(Plugin):
-    plugin_type = TYPE_IP_SECURITY
-    name = "port-faulty"
-    instance_class = _PortFaulter
-
-
 def _bind(router, plugin_cls, gate=GATE_IP_SECURITY, spec="*, *, UDP", **config):
     plugin = plugin_cls()
     router.pcu.load(plugin)
@@ -153,15 +139,17 @@ def _run_differential(make_router, workload=None, chunk=7, now_step=0.0):
 
 
 # ----------------------------------------------------------------------
-# Shape coverage
+# Configuration coverage
 # ----------------------------------------------------------------------
 def test_single_shape_matches_scalar():
+    """No active pre-routing gate: classify straight into the tail."""
     router = _run_differential(lambda n: _build(n))
-    shapes = [loop._plan for loop in router._batch_loops.values()]
-    assert shapes and all(not p["fused"] and not p["pre"] for p in shapes)
+    plans = [loop._plan for loop in router._batch_loops.values()]
+    assert plans and all(not p["pre"] for p in plans)
 
 
 def test_lanes_shape_matches_scalar():
+    """An active pre-routing gate over an unbounded flow table."""
     def make(name):
         router = _build(name)
         _bind(router, _PortFilterPlugin)
@@ -169,13 +157,13 @@ def test_lanes_shape_matches_scalar():
 
     router = _run_differential(make)
     plans = [loop._plan for loop in router._batch_loops.values()]
-    assert plans and all(not p["fused"] and p["pre"] for p in plans)
+    assert plans and all(p["pre"] and not p["bounded"] for p in plans)
 
 
 @pytest.mark.parametrize("policy", ["lru", "clock"])
 def test_fused_shape_bounded_table_matches_scalar(policy):
-    """A capped flow table forces the fused shape: in-batch evictions
-    interleave with packet processing exactly as scalar order demands."""
+    """A capped flow table: in-batch evictions interleave with packet
+    processing exactly as scalar order demands."""
     def make(name):
         router = _build(name, max_flows=8, flow_eviction=policy)
         _bind(router, _PortFilterPlugin)
@@ -183,7 +171,55 @@ def test_fused_shape_bounded_table_matches_scalar(policy):
 
     router = _run_differential(make)
     plans = [loop._plan for loop in router._batch_loops.values()]
-    assert plans and all(p["fused"] for p in plans)
+    assert plans and all(p["bounded"] for p in plans)
+
+
+class _Recorder(PluginInstance):
+    """Appends ``(gate, packet)`` to a log shared across instances."""
+
+    def __init__(self, plugin, log=None, **config):
+        super().__init__(plugin, **config)
+        self.log = log
+
+    def process(self, packet, ctx):
+        self.log.append((ctx.gate, id(packet)))
+        return Verdict.CONTINUE
+
+
+class _RecorderPlugin(Plugin):
+    plugin_type = TYPE_IP_SECURITY
+    name = "recorder"
+    instance_class = _Recorder
+
+
+def test_cross_gate_call_order_matches_scalar():
+    """Two plugins at two pre-routing gates over an unbounded flow
+    table: the batch calls them in exactly the scalar ``(gate, packet)``
+    order — each packet runs every gate before the next packet starts."""
+    def calls(receive_all):
+        router = _build("order")
+        log = []
+        plugin = _RecorderPlugin()
+        router.pcu.load(plugin)
+        for gate in (GATE_IP_SECURITY, GATE_IP_OPTIONS):
+            instance = plugin.create_instance(log=log)
+            plugin.register_instance(instance, "*, *, UDP", gate=gate)
+        packets = _mixed_workload()
+        receive_all(router, packets)
+        position = {id(p): i for i, p in enumerate(packets)}
+        return [(gate, position[pid]) for gate, pid in log]
+
+    def scalar(router, packets):
+        for p in packets:
+            router.receive(p)
+
+    def batched(router, packets):
+        for start in range(0, len(packets), 16):
+            router.receive_batch(packets[start:start + 16])
+
+    expected = calls(scalar)
+    assert {gate for gate, _ in expected} == {GATE_IP_SECURITY, GATE_IP_OPTIONS}
+    assert calls(batched) == expected
 
 
 def test_telemetry_cells_and_histogram_match_scalar():
@@ -287,7 +323,7 @@ def test_filter_install_between_batches_recompiles_the_loop():
 
 
 # ----------------------------------------------------------------------
-# Fault / quarantine equivalence (mid-batch splits)
+# Fault / quarantine equivalence (faults mapped inline, mid-batch)
 # ----------------------------------------------------------------------
 _POLICIES = [
     FaultPolicy(threshold=1000, window=1.0),                       # capture only
@@ -302,6 +338,8 @@ def _fault_state(router):
     return state
 
 
+# Ids (kept stable): "lanes" is an unbounded flow table, "fused" a
+# bounded one.  Both compile the same loop shape.
 @pytest.mark.parametrize("policy", _POLICIES, ids=["capture", "trip1", "bypass2"])
 @pytest.mark.parametrize("bounded", [False, True], ids=["lanes", "fused"])
 def test_mid_batch_fault_splits_match_scalar(policy, bounded):
@@ -321,22 +359,15 @@ def test_mid_batch_fault_splits_match_scalar(policy, bounded):
 @pytest.mark.parametrize("bounded", [False, True], ids=["lanes", "fused"])
 def test_fault_at_two_gates_same_instance_matches_scalar(bounded):
     """One instance bound at two pre-routing gates, faulting mid-batch:
-    the split must resume at the *next* gate position, not re-run the
-    faulting gate.  The lanes shape reorders cross-gate call interleaving
-    (documented divergence), so its faulter keys off the packet itself;
-    the fused shape preserves scalar call order exactly, so there the
-    call-counting faulter must also agree."""
+    the fault verdict applies at the faulting gate and the packet does
+    not re-run it.  Every loop preserves scalar call order, so the
+    call-counting faulter must agree call for call."""
     def make(name):
         kwargs = {"max_flows": 16} if bounded else {}
         router = _build(name, **kwargs)
-        if bounded:
-            plugin = _FaultyPlugin()
-            config = {"every": 7}
-        else:
-            plugin = _PortFaultyPlugin()
-            config = {}
+        plugin = _FaultyPlugin()
         router.pcu.load(plugin)
-        instance = plugin.create_instance(**config)
+        instance = plugin.create_instance(every=7)
         plugin.register_instance(instance, "*, *, UDP", gate=GATE_IP_OPTIONS)
         plugin.register_instance(instance, "*, *, UDP", gate=GATE_IP_SECURITY)
         router.faults.set_policy(
@@ -346,6 +377,75 @@ def test_fault_at_two_gates_same_instance_matches_scalar(bounded):
         return router
 
     _run_differential(make, chunk=8)
+
+
+@pytest.mark.parametrize("bounded", [False, True], ids=["unbounded", "bounded"])
+def test_fault_ring_order_with_several_faults_per_batch(bounded):
+    """Several faults inside one batch, at two gates: the fault ring
+    holds the same records, in the same sequence order, as scalar."""
+    routers = []
+
+    def make(name):
+        kwargs = {"max_flows": 16} if bounded else {}
+        router = _build(name, **kwargs)
+        plugin = _FaultyPlugin()
+        router.pcu.load(plugin)
+        instance = plugin.create_instance(every=3)
+        plugin.register_instance(instance, "*, *, UDP", gate=GATE_IP_OPTIONS)
+        plugin.register_instance(instance, "*, *, UDP", gate=GATE_IP_SECURITY)
+        router.faults.set_policy(plugin.name, FaultPolicy(threshold=1000, window=1.0))
+        routers.append(router)
+        return router
+
+    _run_differential(make, chunk=16)
+    scalar, batched = routers
+    expected = [r.signature() for r in scalar.faults.records()]
+    assert len(expected) > 16  # several faults per 16-packet batch
+    assert [r.signature() for r in batched.faults.records()] == expected
+
+
+class _SchedFaulter(PluginInstance):
+    """A pre-gate filter that is also its interface's bound scheduler,
+    faulting on every n-th scheduler call."""
+
+    def __init__(self, plugin, every=4, **config):
+        super().__init__(plugin, **config)
+        self.every = every
+        self.sched_calls = 0
+
+    def process(self, packet, ctx):
+        if ctx.gate == GATE_PACKET_SCHEDULING:
+            self.sched_calls += 1
+            if self.sched_calls % self.every == 0:
+                raise RuntimeError(f"scheduler fault {self.sched_calls}")
+        return Verdict.CONTINUE
+
+
+class _SchedFaultyPlugin(Plugin):
+    plugin_type = TYPE_IP_SECURITY
+    name = "sched-faulty"
+    instance_class = _SchedFaulter
+
+
+@pytest.mark.parametrize("bounded", [False, True], ids=["unbounded", "bounded"])
+def test_scheduler_fault_quarantine_intercepts_rest_of_batch(bounded):
+    """A bound scheduler faults mid-batch and trips a quarantine: the
+    later packets of the *same* batch are intercepted at the pre gate
+    where the same instance is bound, exactly as scalar order has it."""
+    def make(name):
+        kwargs = {"max_flows": 16} if bounded else {}
+        router = _build(name, **kwargs)
+        instance = _bind(router, _SchedFaultyPlugin)
+        router.set_scheduler("atm1", instance)
+        router.faults.set_policy(
+            "sched-faulty",
+            FaultPolicy(threshold=1, window=5.0, action="drop", cooldown=10.0),
+        )
+        return router
+
+    batched = _run_differential(make, chunk=80)
+    assert batched.counters["plugin_quarantines"] == 1
+    assert batched.faults.health()["sched-faulty"]["dropped_while_quarantined"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -413,31 +513,24 @@ def test_on_batch_start_must_not_change_behavior():
 
 
 def test_warmed_pipeline_passes_codegen_audit():
-    """Satellite of the static-analysis PR: after real traffic warms all
-    three loop shapes (single, lanes, fused) plus the compiled filter
-    tables and routing engines, the RP5xx exec-codegen audit must report
-    zero findings — the emitter's live output is the fixture."""
+    """After real traffic warms the batch loop in each configuration (no
+    active pre gate, an active pre gate over an unbounded flow table,
+    the same over a bounded one) plus the compiled filter tables and
+    routing engines, the RP5xx exec-codegen audit must report zero
+    findings — the emitter's live output is the fixture."""
     from repro.analysis import audit_router_codegen
 
-    routers = []
-    single = _build("audit-single")
-    routers.append(single)
-    lanes = _build("audit-lanes")
-    _bind(lanes, _PortFilterPlugin)
-    routers.append(lanes)
-    fused = _build("audit-fused", max_flows=64)
-    _bind(fused, _PortFilterPlugin)
-    routers.append(fused)
+    configs = {
+        "no-pre-gate": ({}, False),
+        "pre-gate": ({}, True),
+        "pre-gate-bounded": ({"max_flows": 64}, True),
+    }
     workload = _mixed_workload()
-    shapes = set()
-    for router in routers:
+    for label, (kwargs, with_filter) in configs.items():
+        router = _build(f"audit-{label}", **kwargs)
+        if with_filter:
+            _bind(router, _PortFilterPlugin)
         for start in range(0, len(workload), 7):
             router.receive_batch(workload[start:start + 7])
-        assert router._batch_loops
-        for fn in router._batch_loops.values():
-            plan = fn._plan
-            shapes.add(
-                "fused" if plan["fused"] else ("lanes" if plan["pre"] else "single")
-            )
-        assert audit_router_codegen(router) == []
-    assert shapes == {"single", "lanes", "fused"}
+        assert router._batch_loops, label
+        assert audit_router_codegen(router) == [], label

@@ -145,16 +145,13 @@ def test_chaos_soak():
 @pytest.mark.chaos
 def test_chaos_soak_batched():
     """The same storm through ``receive_batch``: mid-batch faults must
-    split, quarantine, and resume without diverging from the scalar
-    walk.  Fault windows and cooldowns are time-based, so the scalar
-    reference quantizes every packet's clock to its batch's start time —
-    after that the comparison is packet-identical.
+    be captured and quarantine later packets without diverging from the
+    scalar walk.  Fault windows and cooldowns are time-based, so the
+    scalar reference quantizes every packet's clock to its batch's start
+    time — after that the comparison is packet-identical.
 
-    The routers use a bounded flow table: that selects the fused
-    single-pass batch shape, which preserves scalar order through any
-    number of mid-batch faults.  (The multi-pass lanes shape documents
-    bounded divergence for multiple faults per batch — see the
-    ``batch.py`` module docstring — and this storm averages several.)"""
+    The routers use a bounded flow table, so in-batch evictions also
+    interleave with the storm's several faults per batch."""
     batch_size = 64
     scalar, _ = _build("scalar-ref", max_flows=512)
     batched, batch_instances = _build("batched", max_flows=512)

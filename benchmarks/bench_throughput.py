@@ -23,6 +23,14 @@ Python packets-per-second on five workloads:
   the DPDK-style arrival pattern the batched run-to-completion pipeline
   is built for, paying the per-batch prologue (plan check, loop lookup,
   context pooling) once per burst instead of once per pass.
+* ``batch_steady`` / ``batch_churn`` — the ``batch_cached`` traffic
+  twice, measured interleaved: ``batch_churn`` installs one ``/32``
+  filter at ``ip_security`` and removes it again before every
+  256-packet burst (reservation-style control churn that leaves the
+  loop shape alone), ``batch_steady`` takes no control writes.
+  ``scripts/bench_check.sh`` floors ``batch_churn`` at 0.5x
+  ``batch_steady``: control writes must cost the data path what they
+  change (the DAG's dirty spine), not a batch-loop recompile.
 * ``telemetry_off`` / ``telemetry_on`` — the ``cached_hit`` workload
   with and without a :class:`repro.telemetry.MetricsRegistry` attached.
   The pair gates the telemetry fast-path overhead: ``scripts/
@@ -110,6 +118,7 @@ FLOWS = 64          # distinct flows in the cached workloads
 CHURN_FLOWS = 4096  # distinct flows in the miss_churn workload...
 CHURN_CAP = 1024    # ...against a flow table capped this small
 FILTERS = 256       # filter-set size of the filters256 workload
+CHURN_SOURCES = 16  # distinct /32 sources the batch_churn filters cycle
 PAYLOAD = b"\x00" * 64
 
 
@@ -228,7 +237,11 @@ def make_filter_packets(n: int):
 BURST = 256         # burst size of the batch_* workloads
 
 
-def _time_pass(router: Router, packets, use_batch: bool, burst: int = 0) -> float:
+def _time_pass(
+    router: Router, packets, use_batch: bool, burst: int = 0, control=None
+) -> float:
+    """Timed pass; with ``burst``, ``control(k)`` (if given) runs before
+    the k-th burst, inside the timed region."""
     receive_batch = getattr(router, "receive_batch", None)
     # A collector pass landing inside one timed run but not another is
     # the dominant noise source on the allocation-heavy miss workloads;
@@ -240,6 +253,8 @@ def _time_pass(router: Router, packets, use_batch: bool, burst: int = 0) -> floa
         start = time.perf_counter()
         if burst and receive_batch is not None:
             for at in range(0, len(packets), burst):
+                if control is not None:
+                    control(at // burst)
                 receive_batch(packets[at:at + burst])
         elif use_batch and receive_batch is not None:
             receive_batch(packets)
@@ -261,6 +276,8 @@ WORKLOADS = (
     "filters256",
     "batch_cached",
     "batch_miss",
+    "batch_steady",
+    "batch_churn",
     "telemetry_off",
     "telemetry_on",
     "telemetry_off_miss",
@@ -324,6 +341,51 @@ def run_workload(name: str, n: int, reps: int, use_batch: bool) -> float:
             raise RuntimeError(f"{name}: forwarded {expected} of {n} packets")
         best = max(best, n / elapsed)
     return best
+
+
+def _churn_control(router: Router):
+    """One reservation-style write pair per burst: a ``/32`` filter at
+    ``ip_security`` installed and removed again.  The sources
+    (10.255.k.1) match none of the cached flows, so no flow is purged
+    and the loop shape never changes."""
+    aiu = router.aiu
+
+    def control(k: int) -> None:
+        record = aiu.create_filter(
+            "ip_security", f"10.255.{k % CHURN_SOURCES}.1/32, *, UDP"
+        )
+        aiu.remove_filter(record)
+
+    return control
+
+
+def run_churn_pair(n: int, reps: int):
+    """Best-of pps for ``batch_steady`` and ``batch_churn``, measured
+    interleaved (alternating passes, order swapped every rep) so the
+    ratio gated by ``scripts/bench_check.sh`` compares like with like.
+
+    The warm-up goes through ``receive_batch``, so the batch loop is
+    compiled before the timed region in both arms: what is left to
+    compare is steady forwarding against forwarding plus control writes.
+
+    Returns ``(steady_pps, churn_pps)``.
+    """
+    best = {"steady": 0.0, "churn": 0.0}
+    for rep in range(reps):
+        order = ("steady", "churn") if rep % 2 == 0 else ("churn", "steady")
+        for arm in order:
+            router = build_router()
+            router.receive_batch(make_cached_packets(FLOWS))
+            control = _churn_control(router) if arm == "churn" else None
+            elapsed = _time_pass(
+                router, make_cached_packets(n), True, burst=BURST,
+                control=control,
+            )
+            forwarded = router.counters["forwarded"] - FLOWS
+            if forwarded != n:
+                raise RuntimeError(f"batch_{arm}: forwarded {forwarded} of {n}")
+            best[arm] = max(best[arm], n / elapsed)
+    return best["steady"], best["churn"]
 
 
 _TELEMETRY_PAIRS = {
@@ -530,7 +592,15 @@ def measure(quick: bool, use_batch: bool) -> dict:
     results = {}
     paired_done = set()
     for name in WORKLOADS:
-        if name in _TELEMETRY_PAIRS:
+        if name == "batch_steady":
+            continue   # measured with batch_churn, interleaved
+        if name == "batch_churn":
+            # Cheap passes: as many best-of samples as the telemetry
+            # pairs, so a co-tenant burst cannot sink one arm alone.
+            steady, churn = run_churn_pair(n, max(16, reps * 4))
+            results["batch_steady"] = round(steady, 1)
+            results["batch_churn"] = round(churn, 1)
+        elif name in _TELEMETRY_PAIRS:
             kind, _ = _TELEMETRY_PAIRS[name]
             if kind in paired_done:
                 continue

@@ -113,6 +113,29 @@ for kind in ("shard_cached", "shard_miss"):
 sys.exit(1 if failed else 0)
 EOF
 
+echo "== control-plane churn floor =="
+# A reservation-style filter install + remove before every 256-packet
+# burst must cost the data path what it changed (a dirty DAG spine),
+# not a batch-loop recompile: batch_churn must keep >= 0.5x the
+# no-churn batch_steady arm measured interleaved in the same run
+# (measured 0.61-0.74x; 0.09-0.16x while loops were keyed on the plan
+# epoch).
+python - <<'EOF'
+import json, sys
+
+FLOOR = 0.5
+with open("BENCH_throughput.json") as fh:
+    pps = json.load(fh)["packets_per_second"]
+if "batch_steady" not in pps or "batch_churn" not in pps:
+    print("FAIL: missing workload pair batch_steady/batch_churn")
+    sys.exit(1)
+ratio = pps["batch_churn"] / pps["batch_steady"]
+if ratio < FLOOR:
+    print(f"FAIL: batch_churn at {ratio:.3f}x batch_steady, below {FLOOR}x")
+    sys.exit(1)
+print(f"ok: batch_churn at {ratio:.3f}x batch_steady >= {FLOOR}x")
+EOF
+
 echo "== telemetry overhead ceiling =="
 # The metrics registry must be near-free on the data path
 # (docs/OBSERVABILITY.md).  The cached-hit pair gates at 5%: its batch

@@ -371,6 +371,15 @@ class AIU:
         for table in self._tables.values():
             table.ensure_compiled()
 
+    @property
+    def dag_node_compiles(self) -> int:
+        """DAG nodes (re)compiled across every filter table — the
+        data-path rebuild cost of control-plane churn (linear tables
+        compile nothing)."""
+        return sum(
+            getattr(table, "node_compiles", 0) for table in self._tables.values()
+        )
+
     def classification_stats(self) -> Dict[str, dict]:
         """Per-gate slow-path counters (``pmgr show aiu``)."""
         out: Dict[str, dict] = {}

@@ -22,13 +22,22 @@ BMP engine's probes per address level, and one access per port level.
 
 **Compiled slow path.**  :meth:`DagFilterTable.lookup_fast` is a
 wall-clock specialization of :meth:`DagFilterTable.lookup`: the DAG is
-flattened — lazily, invalidated by a per-table ``epoch`` bumped on every
-install/remove — into per-level plain-dict / sorted-interval tables with
-each leaf collapsed to its precomputed best :class:`FilterRecord`, so a
+flattened into per-level plain-dict / sorted-interval tables with each
+leaf collapsed to its precomputed best :class:`FilterRecord`, so a
 flow-miss classification is ~6 dict/bisect probes instead of a recursive
 node walk through matcher objects.  It charges zero modelled cost and
 must only be taken when no meter or tracer observes the lookup (the AIU
 enforces this); the metered walk above stays the cost-model spec.
+
+The flattening is lazy and incremental.  Each node caches its compiled
+tuple; an install marks dirty every node it visits (its own path, the
+replicas under more specific siblings, and copy-down into a new label),
+a remove marks the record's owned via-edges and leaves.  Both sets are
+closed under ancestors, because each is a union of root-anchored
+descents.  A recompile — triggered when the per-table ``epoch`` moved —
+rebuilds only that dirty spine and reuses every clean subtree, so one
+``/32`` reservation costs its path plus the dict tables of the nodes on
+it, not the whole filter set.
 """
 
 from __future__ import annotations
@@ -76,7 +85,10 @@ class _Node:
     """One DAG node: a matcher over edge labels, and per-edge via-lists
     recording which filters descended each edge (for copy-down)."""
 
-    __slots__ = ("level", "matcher", "edges", "via", "filters", "owner")
+    __slots__ = (
+        "level", "matcher", "edges", "via", "filters", "owner",
+        "compiled", "dirty",
+    )
 
     def __init__(self, level: int, matcher: Optional[LevelMatcher], owner: "DagFilterTable"):
         self.level = level
@@ -88,6 +100,10 @@ class _Node:
         # leaves/via bookkeeping list; the owner pointer lets each table
         # clean up only its own nodes on removal.
         self.owner = owner
+        # Cached compiled form (DagFilterTable._compile_node), valid
+        # while ``dirty`` is False.
+        self.compiled: object = None
+        self.dirty = True
 
 
 class DagFilterTable:
@@ -128,6 +144,9 @@ class DagFilterTable:
         self.epoch = 0
         self._compiled_epoch = -1
         self._compiled_root = None
+        #: Nodes (re)compiled over the table's lifetime — the work the
+        #: incremental recompile actually did.
+        self.node_compiles = 0
         # Packet-field extractors, one per level.
         self._extractors: Tuple[Callable[[Packet], object], ...] = (
             lambda p: p.src.value,
@@ -216,6 +235,7 @@ class DagFilterTable:
     def _insert(
         self, node: _Node, level: int, record: FilterRecord, labels: Sequence[object]
     ) -> None:
+        node.dirty = True
         if level == len(LEVELS):
             if record not in node.filters:
                 node.filters.append(record)
@@ -276,6 +296,7 @@ class DagFilterTable:
         kept_leaves = []
         for leaf in record.leaves:
             if leaf.owner is self:
+                leaf.dirty = True
                 if record in leaf.filters:
                     leaf.filters.remove(record)
             else:
@@ -284,6 +305,7 @@ class DagFilterTable:
         kept_via = []
         for node, label in record.via:
             if node.owner is self:
+                node.dirty = True
                 via = node.via.get(label)
                 if via is not None and record in via:
                     via.remove(record)
@@ -332,13 +354,27 @@ class DagFilterTable:
     # Compiled lookup (wall-clock slow-path specialization)
     # ------------------------------------------------------------------
     def ensure_compiled(self) -> None:
-        """Flatten the DAG if any install/remove happened since the last
-        compile (an int compare when nothing changed)."""
+        """Re-flatten the dirty spine if any install/remove happened
+        since the last compile (an int compare when nothing changed)."""
         if self._compiled_epoch != self.epoch:
             self._compiled_root = self._compile_node(self._root, 0)
             self._compiled_epoch = self.epoch
 
-    def _compile_node(self, node: _Node, level: int):
+    def _compile_node(self, node: _Node, level: int, reuse: bool = True):
+        """The compiled form of ``node``'s subtree.  With ``reuse`` (the
+        default) clean nodes return their cached tuple and dirty ones are
+        rebuilt and re-cached; ``reuse=False`` flattens the whole subtree
+        from the interpreted DAG and touches no cache (the from-scratch
+        reference the incremental result must equal)."""
+        if not reuse:
+            return self._flatten(node, level, False)
+        if node.dirty:
+            node.compiled = self._flatten(node, level, True)
+            node.dirty = False
+            self.node_compiles += 1
+        return node.compiled
+
+    def _flatten(self, node: _Node, level: int, reuse: bool):
         if level == len(LEVELS):
             # Leaf: collapse the replica set to its precomputed best.
             best: Optional[FilterRecord] = None
@@ -346,22 +382,28 @@ class DagFilterTable:
                 if best is None or record.sort_key() > best.sort_key():
                     best = record
             return best
-        children = {
-            label: self._compile_node(child, level + 1)
-            for label, child in node.edges.items()
-        }
+        compile_child = self._compile_node
         name = LEVELS[level]
         if name in ("src", "dst"):
             # Per-length dict tables probed longest first — exactly the
-            # BMP engine's longest-match over the edge labels.
+            # BMP engine's longest-match over the edge labels.  Built
+            # straight from the edges: an address node can hold hundreds
+            # of labels, and this is the part of a recompile that scales
+            # with the filter set rather than the dirty spine.
             by_length: Dict[int, Dict[int, object]] = {}
-            for label, child in children.items():
-                by_length.setdefault(label.length, {})[label.key_bits()] = child
+            for label, child in node.edges.items():
+                by_length.setdefault(label.length, {})[label.key_bits()] = (
+                    compile_child(child, level + 1, reuse)
+                )
             tables = tuple(
                 (self.width - length, by_length[length])
                 for length in sorted(by_length, reverse=True)
             )
             return (_C_PREFIX, tables, None)
+        children = {
+            label: compile_child(child, level + 1, reuse)
+            for label, child in node.edges.items()
+        }
         if name in ("sport", "dport"):
             # Flatten the laminar port labels into elementary segments:
             # cut at every label boundary, then resolve each segment once
@@ -390,8 +432,7 @@ class DagFilterTable:
         """Compiled equivalent of :meth:`lookup`: same record for every
         packet (differentially fuzzed), zero modelled cost, no meter."""
         if self._compiled_epoch != self.epoch:
-            self._compiled_root = self._compile_node(self._root, 0)
-            self._compiled_epoch = self.epoch
+            self.ensure_compiled()
         node = self._compiled_root
         values = (
             packet.src.value,

@@ -1,9 +1,10 @@
 """Exec-codegen audit (RP5xx) — verify generated data-path code.
 
 The hottest code in the repo is *generated*: :mod:`repro.core.batch`
-emits a specialized batch loop per (plan epoch, configuration) key and
-``exec``\\ s it against an allowlisted namespace, and the DAG classifier
-and BMP engines flatten themselves into compiled lookup structures.
+emits a specialized batch loop per loop-shape key (active gates plus
+configuration; no plan epoch) and ``exec``\\ s it against an
+allowlisted namespace, and the DAG classifier and BMP engines flatten
+themselves into compiled lookup structures.
 Nothing at runtime re-checks any of it — a codegen regression surfaces
 as a heisenbug three layers away.  This auditor re-parses every cached
 loop and walks the compiled lookup structures, turning structural
@@ -246,7 +247,9 @@ def _audit_plan_markers(source: str, plan: dict, subject: str) -> List[Diagnosti
                 "on_fault, in scalar order",
             )
         )
-    if plan.get("hooks") and "for hook in HOOKS" not in source:
+    # Hooks are epoch-varying data: the loop must read the router's
+    # live tuple at call time, never a compile-time snapshot.
+    if plan.get("hooks") and "for hook in router._batch_hooks" not in source:
         bad("hooks", "batch hooks registered but never dispatched")
     if not plan.get("plain") and "iface.output(packet, now)" not in source:
         bad("plain", "non-plain interfaces must emit via iface.output()")

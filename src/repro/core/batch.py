@@ -7,10 +7,16 @@ router's current configuration:
 
 * the active-gate plan (which gates actually have filters),
 * telemetry on/off (the per-gate dispatch cells are compiled in or out),
-* the flow table's eviction policy and whether it is bounded,
+* the flow table's eviction policy and its cap,
 * whether any local addresses exist,
 * whether every interface is a plain :class:`NetworkInterface` (the
-  transmit bookkeeping can then be inlined).
+  transmit bookkeeping can then be inlined),
+* whether any instance has a batch-start hook.
+
+That list is the cache key (:func:`loop_key`): a *shape*, not a filter
+set.  A control-plane write that leaves the shape alone — the common
+case, e.g. a reservation's ``/32`` filter at an already active gate —
+reuses the compiled loop.
 
 Every loop has the same shape: one run-to-completion pass per packet,
 in scalar order — the flow-table probe (hit, or install plus filter
@@ -66,15 +72,20 @@ _MAX_CACHED_LOOPS = 32
 # ----------------------------------------------------------------------
 # Compilation entry point
 # ----------------------------------------------------------------------
-def loop_for(router) -> Optional[Callable]:
-    """The compiled batch loop for the router's *current* plan, or
-    ``None`` when the configuration is not specialized (scalar fallback:
-    flow cache disabled, IPv6 flow-label hashing, or no pre-routing
-    gate to anchor classification at).
+def loop_key(router) -> Optional[tuple]:
+    """The shape key of the loop :func:`loop_for` would return for the
+    router's current plan, or ``None`` when it would return ``None``
+    (scalar fallback: flow cache disabled, IPv6 flow-label hashing, no
+    pre-routing gate to anchor classification at, or a degraded
+    overload tier).
 
-    Loops are cached on the router keyed by the full specialization
-    tuple; the key embeds ``plan_epoch``, so any filter create/remove
-    invalidates every compiled loop implicitly.
+    The key holds everything the emitter bakes into the source or the
+    namespace that can change over a router's life (gate geometry is
+    fixed at construction): the active gates, telemetry on/off, whether
+    local addresses exist, the eviction policy, the flow-table cap
+    (``MAXR``), whether every interface is plain, and whether any batch
+    hook exists.  It does *not* hold ``plan_epoch``: a filter
+    create/remove that leaves the shape alone reuses the compiled loop.
     """
     aiu = router.aiu
     table = aiu.flow_table
@@ -90,36 +101,63 @@ def loop_for(router) -> Optional[Callable]:
         # cache-bypass seam lives in Router.receive().  receive_batch
         # already routes around the loops; this guards direct callers.
         return None
-    bounded = table.max_records is not None
-    plain = all(
-        type(iface) is NetworkInterface for iface in router.interfaces.values()
-    )
-    key = (
-        router._plan_epoch,
+    if router._hooks_epoch != router._plan_epoch:
+        router._batch_hooks = _batch_hooks(router)
+        router._hooks_epoch = router._plan_epoch
+    return (
         router._plan_pre_active,
         router._plan_routing_active,
         router._plan_sched_active,
         router._tm_gate_cells is not None,
         bool(router.local_addresses),
         table._clock,
-        bounded,
-        plain,
+        table.max_records,
+        _all_plain(router),
+        bool(router._batch_hooks),
     )
+
+
+def loop_for(router) -> Optional[Callable]:
+    """The compiled batch loop for the router's *current* plan, or
+    ``None`` when the configuration is not specialized (see
+    :func:`loop_key`).
+
+    Loops are cached on the router by shape, so they survive
+    control-plane churn: epoch-varying data (the batch hooks) is read
+    from the router at call time, and only a change of shape compiles
+    a new loop.  Every compile bumps ``router.loop_compiles``.
+    """
+    key = loop_key(router)
+    if key is None:
+        return None
     loops = router._batch_loops
     loop = loops.get(key)
     if loop is None:
         if len(loops) >= _MAX_CACHED_LOOPS:
             loops.clear()
-        loop = _compile(router, plain)
+        loop = _compile(router)
         loops[key] = loop
+        router.loop_compiles += 1
     return loop
+
+
+def _all_plain(router) -> bool:
+    return all(
+        type(iface) is NetworkInterface for iface in router.interfaces.values()
+    )
 
 
 def _batch_hooks(router) -> tuple:
     """Collect ``on_batch_start`` hooks from every instance reachable
-    through the current filter set or scheduler bindings.  Refreshed on
-    recompilation (any ``plan_epoch`` bump); instances that appear only
-    later (e.g. a scheduler bound mid-batch) join on the next epoch."""
+    through the current filter set or scheduler bindings.
+
+    :func:`loop_key` refreshes ``router._batch_hooks`` from this on
+    every ``plan_epoch`` change and the loop prologue reads that tuple
+    at call time, so an instance bound by a filter create joins at the
+    next batch and an unbound one leaves — without a recompile unless
+    the set goes from empty to non-empty or back.  Instances that appear
+    without an epoch bump (e.g. a scheduler bound mid-batch) join on the
+    next epoch."""
     hooks = []
     seen = set()
     instances = [rec.instance for rec in router.aiu.filters()]
@@ -134,7 +172,7 @@ def _batch_hooks(router) -> tuple:
     return tuple(hooks)
 
 
-def _compile(router, plain: bool) -> Callable:
+def _compile(router) -> Callable:
     aiu = router.aiu
     table = aiu.flow_table
     plan = {
@@ -143,7 +181,7 @@ def _compile(router, plain: bool) -> Callable:
         "local": bool(router.local_addresses),
         "clock": table._clock,
         "bounded": table.max_records is not None,
-        "plain": plain,
+        "plain": _all_plain(router),
         "first_gi": router._gate_indices[router._first_pre_gate],
         "gate_count": len(router.gates),
         "has_routing": router._has_routing_gate,
@@ -152,7 +190,7 @@ def _compile(router, plain: bool) -> Callable:
         "has_sched": router._has_sched_gate,
         "sched_active": router._plan_sched_active,
         "sched_gi": router._gate_indices.get(GATE_PACKET_SCHEDULING),
-        "hooks": _batch_hooks(router),
+        "hooks": bool(router._batch_hooks),
     }
     source = _emit(plan)
     namespace = {
@@ -175,7 +213,6 @@ def _compile(router, plain: bool) -> Callable:
         "QUED": Disposition.QUEUED,
         "CONSD": Disposition.CONSUMED,
         "RGATE": GATE_ROUTING,
-        "HOOKS": plan["hooks"],
         "MAXR": table.max_records,
     }
     code = compile(source, "<repro.core.batch>", "exec")
@@ -250,8 +287,10 @@ def _emit_prologue(blk, plan):
         probe_ok = router.faults.probe_succeeded
     """)
     if plan["hooks"]:
+        # Read at call time: the tuple is refreshed per plan epoch, the
+        # loop only per shape.
         blk(1, """
-            for hook in HOOKS:
+            for hook in router._batch_hooks:
                 hook(now, n)
         """)
     # Pooled contexts, initialized once per batch (the scalar gate macro

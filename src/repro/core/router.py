@@ -158,10 +158,16 @@ class Router:
         # Pooled per-gate contexts for receive_batch (reused between
         # packets; see PluginContext's contract).
         self._ctx_pool: Dict[str, PluginContext] = {}
-        # Per-plan compiled batch loops (repro.core.batch), keyed by the
-        # specialization tuple; invalidated implicitly because the key
-        # embeds ``plan_epoch``.
+        # Compiled batch loops (repro.core.batch), keyed by loop shape
+        # (batch.loop_key), so a same-shape filter change reuses them.
+        # The on_batch_start hooks are epoch-varying data the loops read
+        # at call time, refreshed when ``_hooks_epoch`` falls behind.
         self._batch_loops: Dict[tuple, Callable] = {}
+        self._batch_hooks: tuple = ()
+        self._hooks_epoch = -1
+        #: Batch loops compiled over the router's lifetime (one per new
+        #: shape; ``health()["compiles"]``).
+        self.loop_compiles = 0
 
     # ------------------------------------------------------------------
     # Topology / configuration
@@ -1020,7 +1026,9 @@ class Router:
         """Operational snapshot: counters, live quarantines, every
         plugin fault domain (state, policy, totals, last fault), plus
         data-path pressure — flow-table occupancy, eviction counters,
-        and the overload governor's tier."""
+        the overload governor's tier — and how much compiled code the
+        control plane has made the data path rebuild (batch loops and
+        DAG nodes compiled)."""
         table = self.aiu.flow_table
         gov = self._overload
         return {
@@ -1048,6 +1056,10 @@ class Router:
                 if gov is None
                 else gov.brief()
             ),
+            "compiles": {
+                "loops": self.loop_compiles,
+                "dag_nodes": self.aiu.dag_node_compiles,
+            },
         }
 
     def measure_packet(self, packet: Packet, now: float = 0.0) -> CycleMeter:

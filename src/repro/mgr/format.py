@@ -366,6 +366,10 @@ def _render_aiu(data: dict) -> List[str]:
         f"flow cache: hits={cache['hits']} misses={cache['misses']} "
         f"active={cache['active']} filter_lookups={cache['filter_lookups']}"
     )
+    compiles = data["compiles"]
+    lines.append(
+        f"compiles: loops={compiles['loops']} dag_nodes={compiles['dag_nodes']}"
+    )
     lines.append(f"analyzed: {data['analyzed']}")
     return lines
 

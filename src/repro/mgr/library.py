@@ -284,6 +284,10 @@ class RouterPluginLibrary:
         return {
             "gates": self.router.aiu.classification_stats(),
             "flow_cache": self.router.aiu.stats(),
+            "compiles": {
+                "loops": self.router.loop_compiles,
+                "dag_nodes": self.router.aiu.dag_node_compiles,
+            },
             "analyzed": self._analysis_status(),
         }
 

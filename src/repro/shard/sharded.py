@@ -268,10 +268,12 @@ class ShardedRouter:
             per_shard = [r.health() for r in self.shards]
         counters: Counter = Counter()
         quarantined: set = set()
+        compiles: Counter = Counter()
         flow_table = Counter()
         caps: List[Optional[int]] = []
         for h in per_shard:
             counters.update(h["counters"])
+            compiles.update(h["compiles"])
             quarantined.update(h["quarantined"])
             for key in ("active", "allocated", "births", "evictions",
                         "recycled", "hits", "misses"):
@@ -285,6 +287,7 @@ class ShardedRouter:
             "backend": self.backend,
             "counters": dict(counters),
             "quarantined": sorted(quarantined),
+            "compiles": dict(compiles),
             "flow_table": {
                 **dict(flow_table),
                 "max_records": max_records,

@@ -561,11 +561,13 @@ class Topology:
         per_node = {name: node.health() for name, node in self.nodes.items()}
         counters: Counter = Counter(self._local_counters)
         quarantined: set = set()
+        compiles: Counter = Counter()
         flow_table: Counter = Counter()
         caps: List[Optional[int]] = []
         tiers: List[str] = []
         for h in per_node.values():
             counters.update(h["counters"])
+            compiles.update(h["compiles"])
             quarantined.update(h["quarantined"])
             for key in ("active", "births", "evictions", "hits", "misses"):
                 flow_table[key] += h["flow_table"][key]
@@ -580,6 +582,7 @@ class Topology:
             "links": len(self.links),
             "counters": dict(counters),
             "quarantined": sorted(quarantined),
+            "compiles": dict(compiles),
             "down": sorted(self._down),
             "flow_table": {
                 **dict(flow_table),

@@ -28,8 +28,9 @@ Built-in scenarios (:func:`scenario_names`):
     crowd is served, not shed.
 ``filter_churn``
     Background traffic under control-plane churn: filters and routes
-    added/removed live, forcing plan-epoch recompiles and flow purges
-    mid-traffic.
+    added/removed live, bumping the plan epoch and purging flows
+    mid-traffic.  Batched runs must compile one loop per loop shape,
+    never one per control op.
 
 All randomness comes from ``random.Random(seed)`` — same seed, same
 attack, bit for bit.
@@ -42,6 +43,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..core.batch import loop_key
 from ..net.packet import Packet, make_tcp, make_udp
 from .flows import FlowSpec, heavy_tailed_train_lengths, zipf_flows
 
@@ -406,8 +408,10 @@ def filter_churn(
 ) -> AttackScenario:
     """Filter/route churn under live traffic: every ``churn_every``
     packets a filter is installed or removed at ``gate`` and a route
-    flaps — each op bumps the plan epoch (recompiling batch loops) and
-    filter removal purges derived flows mid-traffic."""
+    flaps — each op bumps the plan epoch and dirties the filter DAG,
+    and filter removal purges derived flows mid-traffic.  Batch loops
+    are keyed by shape, so the check demands exactly one compile per
+    new loop shape (the gate turning active or idle), not one per op."""
     rng = random.Random(seed)
     flows = [
         FlowSpec(
@@ -456,6 +460,13 @@ def filter_churn(
         )(report)
         # Flow purges on filter removal may re-install background flows;
         # the invariant is delivery, not cache residency.
+        compiles = report.get("loop_compiles")
+        if compiles is not None and compiles != report["loop_shapes"]:
+            violations.append(
+                f"filter_churn: {compiles} batch-loop compiles for "
+                f"{report['loop_shapes']} new loop shapes (a same-shape "
+                "control op recompiled)"
+            )
         return violations
 
     return AttackScenario(
@@ -485,7 +496,10 @@ def run_scenario(
     scalar ``receive``.  Flow-table occupancy is sampled every
     ``sample_every`` packets; ``max_active`` is the high-water mark.
     The report is what the scenario's :attr:`AttackScenario.check`
-    consumes.
+    consumes.  On a single :class:`~repro.core.router.Router` it also
+    carries ``loop_compiles`` (batch loops compiled during the run) and
+    ``loop_shapes`` (distinct loop shapes the run's batches used that
+    were not compiled before it); both are ``None`` on fanout routers.
 
     Routers mutate the packets they process (flow index, TTL,
     annotations), so every delivered packet is a per-run clone — the
@@ -505,7 +519,13 @@ def run_scenario(
         "phases": {},
         "tier_after_attack": None,
         "tier_after_recovery": None,
+        "loop_compiles": None,
+        "loop_shapes": None,
     }
+    loops = getattr(router, "_batch_loops", None)   # fanout routers: None
+    shapes: set = set()
+    cached = set(loops) if loops is not None else set()
+    compiles_before = getattr(router, "loop_compiles", 0)
     for phase_name, timeline in sc.phases():
         ops = (
             sorted(sc.control_ops, key=lambda op: op[0])
@@ -531,6 +551,12 @@ def run_scenario(
             dispositions = router.receive_batch(
                 [p for (_t, p, _a) in pending], now=pending[0][0]
             )
+            if loops is not None:
+                # The plan the batch just ran is still current: no
+                # control op lands inside a flush.
+                shape = loop_key(router)
+                if shape is not None:
+                    shapes.add(shape)
             for (_t, _p, is_attack), disposition in zip(pending, dispositions):
                 _account(stats, is_attack, disposition, ok)
             pending.clear()
@@ -570,6 +596,9 @@ def run_scenario(
                 report["tier_after_attack"] = gov.tier
             elif phase_name == "recovery":
                 report["tier_after_recovery"] = gov.tier
+    if loops is not None:
+        report["loop_compiles"] = router.loop_compiles - compiles_before
+        report["loop_shapes"] = len(shapes - cached)
     return report
 
 

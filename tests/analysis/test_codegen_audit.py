@@ -18,6 +18,7 @@ from repro.analysis import (
 )
 from repro.bmp import make_engine
 from repro.core.gates import DEFAULT_GATES, GATE_IP_SECURITY
+from repro.core.plugin import Plugin, PluginInstance, TYPE_IP_SECURITY, Verdict
 from repro.core.router import Router
 from repro.mgr.library import RouterPluginLibrary
 from repro.net.addresses import IPV4_WIDTH
@@ -155,6 +156,21 @@ def test_rp504_unreferenced_pre_gate():
     assert "ip_security" in findings[0].message
 
 
+def test_rp504_hooks_read_from_a_compile_time_snapshot():
+    """Hooks change per plan epoch while the loop is cached per shape,
+    so a loop that dispatches a namespace snapshot instead of reading
+    ``router._batch_hooks`` at call time is flagged."""
+    source = CLEAN_SOURCE.replace(
+        "out = []", "out = []\n    for hook in HOOKS:\n        hook(now, 0)"
+    )
+    namespace = dict(NAMESPACE, HOOKS=())
+    findings = audit_loop_source(
+        source, namespace, plan={"plain": True, "hooks": True}
+    )
+    assert _codes(findings) == ["RP504"]
+    assert "hooks" in findings[0].message
+
+
 def test_rp504_loop_without_source_attribute():
     def not_generated(packets, now):
         return []
@@ -262,6 +278,40 @@ def _warm_router(name, max_flows=None, with_plugin=False):
 def test_warm_router_audits_clean(max_flows, with_plugin, label):
     router = _warm_router(f"audit-{label}", max_flows, with_plugin)
     assert router._batch_loops  # the loop actually compiled
+    assert audit_router_codegen(router) == []
+
+
+class _Hooked(PluginInstance):
+    def __init__(self, plugin, **config):
+        super().__init__(plugin, **config)
+        self.batches = 0
+
+    def on_batch_start(self, now, batch_size):
+        self.batches += 1
+
+    def process(self, packet, ctx):
+        return Verdict.CONTINUE
+
+
+class _HookedPlugin(Plugin):
+    plugin_type = TYPE_IP_SECURITY
+    name = "audit-hooked"
+    instance_class = _Hooked
+
+
+def test_hooked_router_audits_clean():
+    """A loop with live batch hooks reads them from the router at call
+    time; the audit accepts that read and the hook actually runs."""
+    router = _warm_router("audit-hooked")
+    plugin = _HookedPlugin()
+    router.pcu.load(plugin)
+    instance = plugin.create_instance()
+    plugin.register_instance(instance, "*, *, UDP", gate=GATE_IP_SECURITY)
+    router.receive_batch(
+        [make_udp("10.0.0.2", "20.0.1.2", 5001, 9001, iif="atm0")]
+    )
+    assert instance.batches == 1
+    assert any(fn._plan["hooks"] for fn in router._batch_loops.values())
     assert audit_router_codegen(router) == []
 
 

@@ -317,9 +317,45 @@ def test_filter_install_between_batches_recompiles_the_loop():
 
     assert got == expected
     assert _state(batched) == _state(scalar)
-    # The plan epoch is part of the specialization key: the new filter
-    # set compiled a fresh loop instead of reusing the stale one.
+    # The first filter activates ip_security — a new loop shape — so a
+    # fresh loop compiled instead of reusing the no-pre-gate one.
     assert set(batched._batch_loops) - keys_before
+    assert batched.loop_compiles == 2
+
+
+def test_same_shape_filter_churn_reuses_the_loop():
+    """Reservation-style churn: a /32 filter installed (and every other
+    step removed again) at an already active gate between batches.  The
+    shape never changes, so one loop object serves every batch — and
+    the batches stay packet-for-packet equal to scalar receive(), so the
+    reused loop never serves a stale binding."""
+    scalar = _build("scalar-churn")
+    batched = _build("batched-churn")
+    instances = {
+        scalar: _bind(scalar, _PortFilterPlugin),
+        batched: _bind(batched, _PortFilterPlugin),
+    }
+    expected, got = [], []
+    first_loop = None
+    for step in range(6):
+        for router, instance in instances.items():
+            record = instance.plugin.register_instance(
+                instance, f"10.0.{step}.1/32, *, UDP"
+            )
+            if step % 2:
+                assert instance.plugin.deregister_instance(instance, record)
+        expected += [
+            scalar.receive(p) for p in _mixed_workload(seed=step, count=40)
+        ]
+        replay = _mixed_workload(seed=step, count=40)
+        for start in range(0, len(replay), 8):
+            got += batched.receive_batch(replay[start:start + 8])
+        (loop,) = batched._batch_loops.values()
+        first_loop = first_loop or loop
+        assert loop is first_loop
+    assert batched.loop_compiles == 1
+    assert got == expected
+    assert _state(batched) == _state(scalar)
 
 
 # ----------------------------------------------------------------------
@@ -508,8 +544,44 @@ def test_on_batch_start_must_not_change_behavior():
     )
     # The scalar twin never ran the hook; the batched one did, and the
     # differential still held.
-    instance = next(iter(batched._batch_loops.values()))._plan["hooks"]
-    assert instance  # the compiled loop discovered the hook
+    hooked = next(iter(batched._batch_loops.values()))._plan["hooks"]
+    assert hooked  # the compiled loop discovered the hook
+
+
+def test_batch_hooks_follow_bindings_without_recompiling():
+    """Hooks are read from the router at call time: a hooked instance
+    bound after the loop compiled is called from the next batch on, an
+    unbound one stops being called, and only the first hook (none ->
+    some is a shape change) compiles a loop."""
+    router = _build("hook-fresh")
+    _bind(router, _PortFilterPlugin)
+    workload = iter(range(100))
+
+    def batch(now):
+        packets = _mixed_workload(seed=next(workload), count=8)
+        router.receive_batch(packets, now=now)
+        return len(packets)
+
+    batch(0.0)
+    assert router.loop_compiles == 1
+    plugin = _HookedPlugin()
+    router.pcu.load(plugin)
+    first = plugin.create_instance()
+    second = plugin.create_instance()
+    record = plugin.register_instance(first, "10.0.9.1/32, *, UDP")
+    size = batch(1.0)
+    assert first.batch_calls == [(1.0, size)]
+    assert router.loop_compiles == 2
+    loop = loop_for(router)
+    plugin.register_instance(second, "10.0.9.2/32, *, UDP")
+    batch(2.0)
+    assert first.batch_calls[-1] == second.batch_calls[-1] == (2.0, size)
+    assert plugin.deregister_instance(first, record)
+    batch(3.0)
+    assert [now for now, _ in first.batch_calls] == [1.0, 2.0]
+    assert [now for now, _ in second.batch_calls] == [2.0, 3.0]
+    assert loop_for(router) is loop
+    assert router.loop_compiles == 2
 
 
 def test_warmed_pipeline_passes_codegen_audit():

@@ -35,3 +35,11 @@ def test_bench_throughput_smoke(workload, use_batch):
     bench = _load_bench()
     pps = bench.run_workload(workload, n=300, reps=1, use_batch=use_batch)
     assert pps > 0
+
+
+@pytest.mark.smoke
+@pytest.mark.bench
+def test_bench_churn_pair_smoke():
+    bench = _load_bench()
+    steady, churn = bench.run_churn_pair(n=600, reps=1)
+    assert steady > 0 and churn > 0

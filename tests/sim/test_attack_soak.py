@@ -86,6 +86,21 @@ def test_every_scenario_holds_under_governor(name):
 
 
 @pytest.mark.attack
+def test_filter_churn_compiles_once_per_loop_shape():
+    """Batched filter churn: every control op bumps the plan epoch, but
+    only a change of loop shape (the churned gate turning active or
+    idle) may compile a batch loop — the scenario's own check asserts
+    compiles == new shapes, and the epochs far outnumber the compiles."""
+    sc = scenario("filter_churn", seed=SEED)
+    router = _build(governed=False)
+    report = run_scenario(router, sc, batch_size=64)
+    assert sc.check(report) == []
+    assert report["loop_shapes"] >= 2
+    assert report["loop_compiles"] == router.health()["compiles"]["loops"]
+    assert router.aiu.plan_epoch > 4 * report["loop_compiles"]
+
+
+@pytest.mark.attack
 def test_flash_crowd_is_served_not_shed():
     """Legitimate overload: crowd flows repeat, so persistence admits
     them — the governor may apply pressure but must not drop."""

@@ -34,9 +34,9 @@ python scripts/analyze.py --self-lint --sarif | python -m json.tool > /dev/null
 echo "ok: SARIF log is valid JSON"
 
 if command -v ruff >/dev/null 2>&1; then
-    echo "== ruff (analysis + shard + topo + batch) =="
+    echo "== ruff (analysis + shard + topo + control fanout + batch) =="
     ruff check src/repro/analysis src/repro/shard src/repro/topo \
-        src/repro/core/batch.py scripts/analyze.py
+        src/repro/mgr/fanout.py src/repro/core/batch.py scripts/analyze.py
 else
     echo "== ruff skipped (not installed) =="
 fi

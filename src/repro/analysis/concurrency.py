@@ -24,7 +24,7 @@ and flags:
   post-fork plugin factory (the object cannot be re-created identically
   in the child) and can never transit the descriptor codec.
 * RP404 — query-topic payloads the cross-shard aggregation in
-  :class:`~repro.shard.control.ShardedPluginLibrary` cannot merge: the
+  :class:`~repro.mgr.fanout.FanoutLibrary` cannot merge: the
   sum-merge rule understands numeric/bool/str leaves and nested dicts;
   anything else (lists, arbitrary objects) silently takes shard 0's
   value and drops the rest.
@@ -707,8 +707,8 @@ def lint_module_concurrency(module) -> List[Diagnostic]:
 
 
 def lint_shard_concurrency() -> AnalysisReport:
-    """The self-lint sweep: RP4xx over ``repro.shard`` and the batch
-    compiler/state modules themselves."""
+    """The self-lint sweep: RP4xx over ``repro.shard``, the control
+    fanout, and the batch compiler/state modules themselves."""
     import importlib
 
     report = AnalysisReport()
@@ -717,7 +717,7 @@ def lint_shard_concurrency() -> AnalysisReport:
         "repro.shard.dispatch",
         "repro.shard.mp",
         "repro.shard.sharded",
-        "repro.shard.control",
+        "repro.mgr.fanout",
         "repro.core.batch",
         "repro.core.shard_state",
     ):

@@ -8,6 +8,7 @@ from .format import (
     render_topic,
     topic_names,
 )
+from .fanout import FanoutLibrary, library_for
 from .library import (
     PLUGIN_REGISTRY,
     RouterPluginLibrary,
@@ -18,10 +19,12 @@ from .library import (
 from .pmgr import PluginManager, main, run_script
 
 __all__ = [
+    "FanoutLibrary",
     "PLUGIN_REGISTRY",
     "RouterPluginLibrary",
     "TopicSpec",
     "get_topic",
+    "library_for",
     "load_plugin",
     "merge_topic",
     "parse_config_value",
@@ -34,17 +37,3 @@ __all__ = [
     "run_script",
 ]
 
-
-def __getattr__(name):
-    # ``TOPICS`` froze the topic set at import time; the registry is
-    # dynamic (repro.topo adds topics on import), so forward the shim to
-    # format's own deprecation hook.
-    if name == "TOPICS":
-        from . import format as _format
-
-        return _format.TOPICS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(__all__) | {"TOPICS"} | set(globals()))

@@ -14,9 +14,9 @@ same way (``repro.topo`` registers ``topology`` and ``paths``), and
 the ci_check.sh JSON-roundtrip gate pick new registrations up
 automatically.
 
-Merge strategies (the :class:`~repro.shard.control.ShardedPluginLibrary`
-and :class:`~repro.topo.control.TopologyPluginLibrary` aggregation
-rules, declared per topic instead of hardcoded per library):
+Merge strategies (the :class:`~repro.mgr.fanout.FanoutLibrary`
+aggregation rules, declared per topic instead of hardcoded per
+library):
 
 * ``"sum"`` — key-wise numeric sum, dicts recursed (flows, aiu).
 * ``"bucketwise"`` — counters/gauges summed, histograms merged
@@ -30,10 +30,6 @@ rules, declared per topic instead of hardcoded per library):
   merging per-node payloads (health, shards, topology).
 * a callable ``merge(per_node: List[dict]) -> dict`` for bespoke
   shapes (trace, faults).
-
-The pre-registry module surface (``TOPICS`` tuple, ``_RENDERERS`` dict)
-remains importable through deprecation shims that warn once; use
-:func:`topic_names` / :func:`get_topic` instead.
 """
 
 from __future__ import annotations
@@ -516,31 +512,3 @@ def render_topic(topic: str, data: dict) -> List[str]:
         )
     return spec.renderer(strip_schema(data))
 
-
-def _deprecated_renderers() -> Dict[str, Renderer]:
-    return {name: spec.renderer for name, spec in _REGISTRY.items()}
-
-
-def __getattr__(name: str):
-    # Pre-registry module surface, kept importable one release.
-    if name == "TOPICS":
-        warnings.warn(
-            "repro.mgr.format.TOPICS is deprecated (removed in 2.0); "
-            "use repro.mgr.format.topic_names()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return topic_names()
-    if name == "_RENDERERS":
-        warnings.warn(
-            "repro.mgr.format._RENDERERS is deprecated (removed in 2.0); "
-            "use repro.mgr.format.get_topic(name).renderer",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _deprecated_renderers()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | {"TOPICS", "_RENDERERS"})

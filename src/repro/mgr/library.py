@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Type
 
 from ..core.errors import ConfigurationError, UnknownPluginError
 from ..core.faults import FaultPolicy, PluginFaultDomain
+from ..core.messages import Message
 from ..core.plugin import Plugin, PluginInstance
 from ..core.router import Router
 from ..core.routing_plugin import L4RoutingPlugin
@@ -117,7 +118,10 @@ class RouterPluginLibrary:
         plugin = self.router.pcu.get(plugin_name)
         if instance_name in self._instances:
             raise ConfigurationError(f"duplicate instance name {instance_name!r}")
-        instance = plugin.create_instance(name=instance_name, **config)
+        try:
+            instance = plugin.create_instance(name=instance_name, **config)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"bad {plugin_name} config: {exc}") from exc
         self._instances[instance_name] = instance
         self._config_revision += 1
         return instance
@@ -160,6 +164,21 @@ class RouterPluginLibrary:
 
     def add_route(self, prefix: str, interface: str, next_hop: Optional[str] = None) -> None:
         self.router.routing_table.add(prefix, interface, next_hop=next_hop)
+
+    def add_mroute(self, group: str, oifs: List[str], source: Optional[str] = None,
+                   expected_iif: Optional[str] = None):
+        return self.router.multicast_table.add(
+            group, oifs, source=source, expected_iif=expected_iif
+        )
+
+    def send_message(self, plugin_name: str, msg_type: str, /, **args):
+        """Send a plugin-specific control message through the PCU.
+        ``instance=`` and ``*_instance=`` arguments name an instance of
+        this library and are resolved to its handle here."""
+        for key, value in args.items():
+            if key == "instance" or key.endswith("_instance"):
+                args[key] = self.instance(str(value))
+        return self.router.pcu.send(plugin_name, Message(msg_type, args))
 
     # ------------------------------------------------------------------
     # Fault domains / quarantine (docs/ROBUSTNESS.md)
@@ -361,7 +380,7 @@ class RouterPluginLibrary:
         keyed on (AIU plan epoch, configuration revision), so ``show
         aiu`` can report analysis freshness without re-walking anything
         — and so fanout configuration ops that never touch a filter
-        (modload/create through a ShardedPluginLibrary) still invalidate
+        (modload/create through a FanoutLibrary) still invalidate
         it."""
         from ..analysis import analyze_router, audit_query_mergeability
 

@@ -55,30 +55,17 @@ import sys
 from typing import Callable, Dict, List, Optional
 
 from ..core.errors import ConfigurationError, ScriptError
-from ..core.messages import Message
 from ..core.router import Router
 from .format import render_topic, topic_names
-from .library import RouterPluginLibrary, parse_config_value, split_command
+from .fanout import library_for
+from .library import parse_config_value, split_command
 
 
 class PluginManager:
     """The command interpreter over the Router Plugin Library."""
 
     def __init__(self, router: Router, output: Optional[Callable[[str], None]] = None):
-        # Duck-typed: a Topology front end gets the per-node fanout
-        # library (docs/TOPOLOGY.md); a ShardedRouter front end gets the
-        # per-shard fanout library so every command broadcasts to all
-        # shards and every ``show`` aggregates (docs/OBSERVABILITY.md).
-        if hasattr(router, "nodes") and hasattr(router, "links"):
-            from ..topo.control import TopologyPluginLibrary
-
-            self.library = TopologyPluginLibrary(router)
-        elif hasattr(router, "nshards") and hasattr(router, "shards"):
-            from ..shard.control import ShardedPluginLibrary
-
-            self.library = ShardedPluginLibrary(router)
-        else:
-            self.library = RouterPluginLibrary(router)
+        self.library = library_for(router)
         self.router = router
         self._print = output or (lambda line: None)
         self._commands: Dict[str, Callable[[List[str]], None]] = {
@@ -156,7 +143,7 @@ class PluginManager:
     def _cmd_modload(self, args: List[str]) -> None:
         self._need(args, 1, "modload <plugin>")
         plugin = self.library.modload(args[0])
-        # Fanout libraries (repro.shard) broadcast and return no handle.
+        # The mp shard fanout keeps handles in the workers.
         if plugin is None:
             self._print(f"loaded {args[0]}")
         else:
@@ -216,7 +203,7 @@ class PluginManager:
         group, oifs = args[0], args[1].split(",")
         source = None if len(args) < 3 or args[2] == "*" else args[2]
         expected_iif = args[3] if len(args) == 4 else None
-        self.router.multicast_table.add(
+        self.library.add_mroute(
             group, oifs, source=source, expected_iif=expected_iif
         )
         self._print(f"mroute ({source or '*'}, {group}) -> {oifs}")
@@ -225,14 +212,9 @@ class PluginManager:
         if len(args) < 2:
             raise ConfigurationError("usage: msg <plugin> <type> [key=value...]")
         plugin_name, msg_type = args[0], args[1]
-        msg_args = {}
-        for token in args[2:]:
-            key, value = parse_config_value(token)
-            # Instance references resolve by name.
-            if key in ("instance",) or key.endswith("_instance"):
-                value = self.library.instance(str(value))
-            msg_args[key] = value
-        result = self.router.pcu.send(plugin_name, Message(msg_type, msg_args))
+        msg_args = dict(parse_config_value(token) for token in args[2:])
+        # Each target library resolves instance=/*_instance= by name.
+        result = self.library.send_message(plugin_name, msg_type, **msg_args)
         self._print(f"msg {msg_type} -> {result!r}")
 
     def _cmd_quarantine(self, args: List[str]) -> None:
@@ -280,8 +262,8 @@ class PluginManager:
             self.library.disable_telemetry()
             self._print("telemetry disabled")
         else:
-            state = "enabled" if self.router.telemetry is not None else "disabled"
-            self._print(f"telemetry {state}")
+            enabled = self.library.query("telemetry")["enabled"]
+            self._print(f"telemetry {'enabled' if enabled else 'disabled'}")
 
     def _cmd_trace(self, args: List[str]) -> None:
         if args and args[0] == "path":
@@ -360,11 +342,11 @@ class PluginManager:
         if args[0] == "status":
             if len(args) != 1:
                 raise ConfigurationError(usage)
-            governor = self.router._overload
-            if governor is None:
+            data = self.library.query("overload")
+            if not data["enabled"]:
                 self._print("overload governor disabled")
             else:
-                self._print(f"overload governor enabled tier={governor.tier}")
+                self._print(f"overload governor enabled tier={data['tier']}")
             return
         config = dict(parse_config_value(token) for token in args[1:])
         governor = self.library.enable_overload(**config)

@@ -2,17 +2,16 @@
 
 See :mod:`repro.shard.sharded` for the front end,
 :mod:`repro.shard.dispatch` for the deterministic dispatch rule and the
-pickle-light handoff codec, :mod:`repro.shard.mp` for the forked worker
-pool, and :mod:`repro.shard.control` for the control-plane fanout.
+pickle-light handoff codec, and :mod:`repro.shard.mp` for the forked
+worker pool.  The control-plane fanout over shards is
+:class:`repro.mgr.fanout.FanoutLibrary`.
 """
 
-from .control import ShardedPluginLibrary
 from .dispatch import decode_packet, dispatch_packets, dispatch_wire, encode_packet, shard_of
 from .mp import ShardWorkerPool, mp_available, usable_cpus
 from .sharded import ShardedRouter
 
 __all__ = [
-    "ShardedPluginLibrary",
     "ShardedRouter",
     "ShardWorkerPool",
     "decode_packet",

@@ -16,11 +16,14 @@ lists (see :mod:`repro.shard.dispatch`) sized to the compiled batch
 loops — the worker decodes and calls ``Router.receive_batch``, so the
 per-shard data path is exactly the single-process one.
 
-The control plane rides the same work pipe between batches: ``script``
-messages run a pmgr configuration script on the worker's own
-PluginManager (the fanout used by :class:`~repro.shard.control.
-ShardedPluginLibrary`), and ``query`` messages return the worker
-library's structured ``query()`` dict for cross-shard aggregation.
+The control plane rides the same work pipe between batches: a
+``("call", verb, args, kwargs)`` message runs one typed
+:class:`~repro.mgr.library.RouterPluginLibrary` verb on the worker's
+own library (the mp child of :class:`~repro.mgr.fanout.FanoutLibrary`),
+and ``query`` messages return that library's structured ``query()``
+dict for cross-shard aggregation.  A worker-side exception is relayed
+to the parent as the same class when it pickles, so a bad verb raises
+what the inline backend raises.
 
 Requires the ``fork`` start method (factory closures never cross a
 pickle boundary); callers should check :func:`mp_available` first.
@@ -30,10 +33,12 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 from collections import deque
 from multiprocessing.connection import wait as _conn_wait
 from typing import Callable, List, Optional, Sequence
 
+from ..mgr.library import RouterPluginLibrary
 from .dispatch import decode_packet, dispatch_wire
 
 
@@ -53,6 +58,17 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _relayable(exc: Exception) -> Exception:
+    """The exception the parent re-raises for a failed control message:
+    ``exc`` itself when it survives a pickle round trip (so the parent
+    sees the class the inline backend raises), else a RuntimeError
+    carrying its class name and message."""
+    try:
+        return pickle.loads(pickle.dumps(exc))
+    except Exception:  # noqa: BLE001  # rp: ignore[RP206]
+        return RuntimeError(f"shard worker error: {type(exc).__name__}: {exc}")
+
+
 def _worker_main(index: int, factory: Callable, work_r, result_w, null_path: bool):
     """Worker loop: decode -> receive_batch -> send dispositions.
 
@@ -62,9 +78,7 @@ def _worker_main(index: int, factory: Callable, work_r, result_w, null_path: boo
     cores to demonstrate real parallel speedup.
     """
     router = factory(index)
-    from ..mgr.pmgr import PluginManager
-
-    manager = PluginManager(router)
+    library = RouterPluginLibrary(router)
     receive_batch = router.receive_batch
     decode = decode_packet
     while True:
@@ -77,17 +91,18 @@ def _worker_main(index: int, factory: Callable, work_r, result_w, null_path: boo
             else:
                 packets = [decode(d) for d in descs]
                 result_w.send(receive_batch(packets, now=now))
-        elif tag == "script":
+        elif tag == "call":
+            # Handles (instances, records) stay in the worker.
             try:
-                manager.run_script(msg[1])
+                getattr(library, msg[1])(*msg[2], **msg[3])
                 result_w.send(("ok", None))
             except Exception as exc:  # noqa: BLE001  # rp: ignore[RP206]
-                result_w.send(("err", f"{type(exc).__name__}: {exc}"))
+                result_w.send(("err", _relayable(exc)))
         elif tag == "query":
             try:
-                result_w.send(("ok", manager.library.query(msg[1], **msg[2])))
+                result_w.send(("ok", library.query(msg[1], **msg[2])))
             except Exception as exc:  # noqa: BLE001  # rp: ignore[RP206]
-                result_w.send(("err", f"{type(exc).__name__}: {exc}"))
+                result_w.send(("err", _relayable(exc)))
         elif tag == "health":
             result_w.send(("ok", router.health()))
         elif tag == "stop":
@@ -196,12 +211,13 @@ class ShardWorkerPool:
         replies = [r.recv() for r in self._result_r]
         errors = [value for status, value in replies if status == "err"]
         if errors:
-            raise RuntimeError(f"shard worker error: {errors[0]}")
+            raise errors[0]
         return [value for _, value in replies]
 
-    def run_script(self, text: str) -> None:
-        """Run a pmgr configuration script on every shard."""
-        self._roundtrip(("script", text))
+    def call(self, verb: str, args: tuple, kwargs: dict) -> None:
+        """Run ``RouterPluginLibrary.<verb>(*args, **kwargs)`` on every
+        shard's library, in one roundtrip."""
+        self._roundtrip(("call", verb, args, kwargs))
 
     def query(self, topic: str, **filters) -> list:
         """Per-shard ``RouterPluginLibrary.query`` dicts."""

@@ -154,7 +154,7 @@ class ShardedRouter:
 
     ``factory(shard_index) -> Router`` builds each shard; every shard
     must be configured identically (the control fanout,
-    :class:`~repro.shard.control.ShardedPluginLibrary`, keeps it that
+    :class:`~repro.mgr.fanout.FanoutLibrary`, keeps it that
     way for live changes).  With no factory, each shard is a bare
     ``Router(**router_kwargs)`` named ``{name}/{i}``.
 
@@ -254,11 +254,6 @@ class ShardedRouter:
         for r in self.shards:
             total.update(r.counters)
         return total
-
-    @property
-    def telemetry(self):
-        """Shard 0's registry handle (fanout attaches one per shard)."""
-        return self.shards[0].telemetry if self.shards else None
 
     def health(self) -> dict:
         """Aggregated health: summed counters/flow-table, per-shard rows."""

@@ -4,10 +4,10 @@ The package contributes two management topics to the
 :mod:`repro.mgr.format` registry at import time — ``topology`` (the
 composed network: nodes, links, ECMP bundles, loop-drop counters) and
 ``paths`` (hop-by-hop traces recorded by ``pmgr trace path`` /
-:meth:`TopologyPluginLibrary.trace_path`).  Both are ``"frontend"``
-topics: their query callables duck-type any library, so ``pmgr show
-topology --json`` on a plain or sharded router renders the degenerate
-single-node view instead of failing.
+:meth:`~repro.mgr.fanout.FanoutLibrary.trace_path`).  Both are
+``"frontend"`` topics: their query callables duck-type any library, so
+``pmgr show topology --json`` on a plain or inline-sharded router
+renders the degenerate single-node view instead of failing.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import List
 
 from ..mgr.format import register_topic
-from .control import TopologyPluginLibrary
 from .topology import DROPPED_LOOP, Edge, Link, Topology
 from .tracer import PathTrace, PathTracer
 
@@ -26,7 +25,6 @@ __all__ = [
     "PathTrace",
     "PathTracer",
     "Topology",
-    "TopologyPluginLibrary",
 ]
 
 

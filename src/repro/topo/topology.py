@@ -548,13 +548,6 @@ class Topology:
             total.update(node.counters)
         return total
 
-    @property
-    def telemetry(self):
-        """The entry node's registry handle (pmgr status commands)."""
-        if self._entry is None:
-            return None
-        return self.nodes[self._entry].telemetry
-
     def health(self) -> dict:
         """Aggregated health: summed counters/flow-table, worst tier,
         per-node rows."""

@@ -40,7 +40,8 @@ from ..core import GATE_IP_OPTIONS, GATE_IP_SECURITY
 from ..net.headers import PROTO_ESP, OptionTLV
 from ..net.packet import Packet
 from ..net.addresses import IPAddress
-from ..topo import Topology, TopologyPluginLibrary
+from ..mgr.fanout import library_for
+from ..topo import Topology
 from .adversarial import AttackScenario, _background_stream, _mix
 from .flows import FlowSpec
 
@@ -475,7 +476,7 @@ def quarantine_reroute(
     topo.add_route("right", "20.6.0.0/16", "out0")
     topo.add_route("egress", "20.6.0.0/16", "lan0")
 
-    library = TopologyPluginLibrary(topo)
+    library = library_for(topo)
     for name in ("left", "right"):
         plugin = StatisticsPlugin()
         topo.node(name).pcu.load(plugin)

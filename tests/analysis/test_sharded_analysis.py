@@ -3,8 +3,8 @@
 Pins the satellite fix: ``library.analyze()``'s freshness cache is
 keyed on (plan epoch, configuration revision), so configuration ops
 that never touch a filter — including ops fanned out across shards by
-``ShardedPluginLibrary`` — invalidate it.  Also pins the sharded sweep
-(``analyze_sharded`` / ``ShardedPluginLibrary.analyze``), its inline-
+the shard fanout library — invalidate it.  Also pins the sharded sweep
+(``analyze_sharded`` / ``FanoutLibrary.analyze``), its inline-
 backend requirement, and the pmgr ``analyze --json`` round-trip on a
 ShardedRouter."""
 
@@ -18,7 +18,6 @@ from repro.core.errors import ConfigurationError
 from repro.core.gates import GATE_IP_SECURITY
 from repro.mgr.library import RouterPluginLibrary
 from repro.net.packet import make_udp
-from repro.shard.control import ShardedPluginLibrary
 
 
 def _factory(index):
@@ -30,7 +29,7 @@ def _factory(index):
 
 def _sharded(nshards=2):
     sharded = ShardedRouter(nshards=nshards, factory=_factory, backend="inline")
-    library = ShardedPluginLibrary(sharded)
+    library = PluginManager(sharded).library
     library.modload("firewall")
     library.create_instance("firewall", "fw0")
     library.bind("fw0", "*, *, UDP", gate=GATE_IP_SECURITY)

@@ -12,6 +12,7 @@ import random
 import pytest
 
 from repro import PluginManager, Router, ShardedRouter
+from repro.core.errors import ConfigurationError, UnknownPluginError
 from repro.net.packet import make_udp
 from repro.shard import encode_packet, mp_available
 
@@ -111,3 +112,46 @@ def test_mp_control_errors_surface_in_parent():
         manager.run_script(CONFIG)
         dispo = mp_router.receive_wire(_descs(100), now=0.0)
         assert len(dispo) == 100 and None not in dispo
+
+
+
+#: Typed library calls, valid and invalid, replayed on both backends,
+#: with the exception class each must raise (None: succeeds).
+TYPED_CALLS = [
+    ("modload", ("drr",), {}, None),
+    ("modload", ("firewall",), {}, None),
+    ("modload", ("warp-drive",), {}, UnknownPluginError),
+    ("create_instance", ("drr", "q0"), {"quantum": 1500}, None),
+    ("create_instance", ("drr", "q0"), {}, ConfigurationError),  # duplicate
+    ("create_instance", ("drr", "q1"), {"quantum": "1500"},      # bad type
+     ConfigurationError),
+    ("create_instance", ("drr", "q2"), {"limit": None}, None),
+    ("create_instance", ("firewall", "fw0"), {"action": "deny"}, None),
+    ("bind", ("fw0", "<*, *, UDP, *, 53, *>"), {"gate": "ip_security"}, None),
+    ("bind", ("nope", "*, *, UDP"), {}, ConfigurationError),
+    ("set_fault_policy", ("drr",), {"bogus": 1}, ConfigurationError),
+    ("free_instance", ("q2",), {}, None),
+]
+
+
+def _replay(library):
+    outcomes = []
+    for verb, args, kwargs, _ in TYPED_CALLS:
+        try:
+            getattr(library, verb)(*args, **kwargs)
+        except Exception as exc:  # noqa: BLE001 — the class is the outcome
+            outcomes.append(type(exc))
+        else:
+            outcomes.append(None)
+    return outcomes, library.query("plugins"), library.query("filters")
+
+
+def test_typed_calls_same_outcome_inline_and_mp():
+    """One typed call, one outcome: both backends raise the same
+    exception classes and end identically configured."""
+    inline = _replay(PluginManager(
+        ShardedRouter(nshards=2, factory=_factory, backend="inline")).library)
+    assert inline[0] == [expected for *_, expected in TYPED_CALLS]
+    with ShardedRouter(nshards=2, factory=_factory, backend="mp") as mp_router:
+        mp = _replay(PluginManager(mp_router).library)
+    assert mp == inline

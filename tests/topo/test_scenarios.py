@@ -3,14 +3,14 @@
 Every registered topo scenario (IPsec tunnel spoofing, hop-by-hop v6
 options, H-FSC aggregation shaping, quarantine reroute) must hold its
 delivery invariants when driven through the unmodified ``run_scenario``
-harness — scalar and batched — and ``TopologyPluginLibrary`` must fan
+harness — scalar and batched — and the topology ``FanoutLibrary`` must fan
 control-plane commands across nodes (broadcast by default, one node via
 ``node=``) while aggregating queries through the topic registry.
 """
 
 import pytest
 
-from repro import Topology, TopologyPluginLibrary
+from repro import PluginManager, Topology
 from repro.core.errors import ConfigurationError
 from repro.mgr.format import strip_schema
 from repro.workloads import (
@@ -55,7 +55,7 @@ class TestLibraryFanout:
 
     def test_broadcast_lands_on_every_node(self):
         topo = self._topo()
-        lib = TopologyPluginLibrary(topo)
+        lib = PluginManager(topo).library
         lib.modload("stats")
         lib.create_instance("stats", "s0")
         lib.bind("s0", "*, *", gate="ip_options")
@@ -65,24 +65,24 @@ class TestLibraryFanout:
 
     def test_node_targets_one(self):
         topo = self._topo()
-        lib = TopologyPluginLibrary(topo)
+        lib = PluginManager(topo).library
         lib.modload("stats", node="a")
         assert topo.node("a").pcu.is_loaded("stats")
         for shard in topo.node("b").shards:
             assert not shard.pcu.is_loaded("stats")
 
     def test_unknown_node_rejected(self):
-        lib = TopologyPluginLibrary(self._topo())
+        lib = PluginManager(self._topo()).library
         with pytest.raises(ConfigurationError, match="nope"):
             lib.modload("stats", node="nope")
 
     def test_non_topology_rejected(self):
         with pytest.raises(ConfigurationError):
-            TopologyPluginLibrary(object())
+            PluginManager(object()).library
 
     def test_query_sums_flows_across_nodes(self):
         topo = self._topo()
-        lib = TopologyPluginLibrary(topo)
+        lib = PluginManager(topo).library
         from repro.net.packet import make_udp
 
         for i in range(20):
@@ -98,7 +98,7 @@ class TestLibraryFanout:
         assert body["active"] == 2 * 20
 
     def test_frontend_shards_rows_are_node_labelled(self):
-        lib = TopologyPluginLibrary(self._topo())
+        lib = PluginManager(self._topo()).library
         body = strip_schema(lib.query("shards"))
         labels = {row["shard"] for row in body["shards"]}
         assert labels == {"a/0", "b/0", "b/1"}
@@ -106,19 +106,19 @@ class TestLibraryFanout:
         assert body["backend"] == "inline+local"
 
     def test_unknown_topic_raises(self):
-        lib = TopologyPluginLibrary(self._topo())
+        lib = PluginManager(self._topo()).library
         with pytest.raises(ConfigurationError, match="no_such_topic"):
             lib.query("no_such_topic")
 
     def test_health_aggregates_per_node(self):
         topo = self._topo()
-        lib = TopologyPluginLibrary(topo)
+        lib = PluginManager(topo).library
         body = strip_schema(lib.query("health"))
         assert set(body["per_node"]) == {"a", "b"}
 
     def test_run_script_fans_out(self):
         topo = self._topo()
-        lib = TopologyPluginLibrary(topo)
+        lib = PluginManager(topo)
         lib.run_script(
             "modload stats\ncreate stats s0\nbind s0 ip_options *, *\n")
         for name in ("a", "b"):

@@ -8,7 +8,7 @@ Pins the ISSUE acceptance criteria:
   consume + inner re-injection rendered as one ``decapsulated`` hop);
 * ``pmgr show paths --json`` round-trips through the topic registry
   with the versioned schema envelope;
-* quarantining a middle-hop plugin via ``TopologyPluginLibrary``
+* quarantining a middle-hop plugin via the topology ``FanoutLibrary``
   reroutes the traced path onto the ECMP alternate, and reinstating
   brings it back.
 """
@@ -17,7 +17,7 @@ import json
 
 import pytest
 
-from repro import PathTracer, PluginManager, Topology, TopologyPluginLibrary
+from repro import PathTracer, PluginManager, Topology
 from repro.mgr.format import strip_schema
 from repro.net.packet import make_udp
 from repro.workloads import build_topo_scenario
@@ -123,7 +123,7 @@ class TestTraceMechanics:
 
 class TestPmgrIntegration:
     def test_trace_path_and_show_paths_json(self, ipsec_topo):
-        library = TopologyPluginLibrary(ipsec_topo)
+        library = PluginManager(ipsec_topo).library
         lines = []
         mgr = PluginManager(ipsec_topo, output=lines.append)
         assert mgr.library.topology is ipsec_topo
@@ -163,7 +163,7 @@ class TestPmgrIntegration:
 class TestQuarantineReroute:
     def test_traced_path_moves_to_ecmp_alternate(self):
         topo, _sc = build_topo_scenario("quarantine_reroute")
-        library = TopologyPluginLibrary(topo)
+        library = PluginManager(topo).library
         probe = make_udp("10.6.0.1", "20.6.0.1", 5000, 9000, iif="lan0")
         before = library.trace_path(probe)
         assert before.disposition == "forwarded"

@@ -31,6 +31,12 @@ Python packets-per-second on five workloads:
   ``scripts/bench_check.sh`` floors ``batch_churn`` at 0.5x
   ``batch_steady``: control writes must cost the data path what they
   change (the DAG's dirty spine), not a batch-loop recompile.
+* ``topo_chain1`` / ``topo_chain3`` — the ``batch_cached`` traffic
+  through a one-router and a three-router ``repro.Topology`` chain
+  (an empty plugin at ``ip_options`` on every hop), measured
+  interleaved.  ``scripts/bench_check.sh`` floors ``3 x topo_chain3``
+  at ``0.5 x topo_chain1``: a transit hop may cost at most twice a
+  single-hop router.
 * ``telemetry_off`` / ``telemetry_on`` — the ``cached_hit`` workload
   with and without a :class:`repro.telemetry.MetricsRegistry` attached.
   The pair gates the telemetry fast-path overhead: ``scripts/
@@ -101,6 +107,7 @@ from repro.core.router import Router
 from repro.net.addresses import IPAddress
 from repro.net.headers import PROTO_UDP
 from repro.net.packet import Packet
+from repro.topo import Topology
 from repro.shard import (
     ShardedRouter,
     dispatch_wire,
@@ -278,6 +285,8 @@ WORKLOADS = (
     "batch_miss",
     "batch_steady",
     "batch_churn",
+    "topo_chain1",
+    "topo_chain3",
     "telemetry_off",
     "telemetry_on",
     "telemetry_off_miss",
@@ -386,6 +395,49 @@ def run_churn_pair(n: int, reps: int):
                 raise RuntimeError(f"batch_{arm}: forwarded {forwarded} of {n}")
             best[arm] = max(best[arm], n / elapsed)
     return best["steady"], best["churn"]
+
+
+def build_chain(hops: int) -> Topology:
+    """``hops`` routers in a line, ``r1:atm1 -> r2:atm0 -> ...``, each
+    with an empty plugin at ``ip_options``; the last hop's ``atm1`` is
+    the network's exit."""
+    topo = Topology(f"chain{hops}", max_hops=hops)
+    for i in range(hops):
+        router = build_router()
+        router.name = f"r{i + 1}"
+        plugin = _EmptyPlugin()
+        router.pcu.load(plugin)
+        plugin.register_instance(
+            plugin.create_instance(), "*, *, UDP", gate="ip_options"
+        )
+        topo.add_node(router.name, router=router)
+    for i in range(1, hops):
+        topo.link(f"r{i}", "atm1", f"r{i + 1}", "atm0")
+    return topo
+
+
+def run_chain_pair(n: int, reps: int):
+    """Best-of pps for ``topo_chain1`` and ``topo_chain3``, measured
+    interleaved (order swapped every rep); both arms warm their flow
+    tables and batch loops through ``receive_batch`` first.
+
+    Returns ``(chain1_pps, chain3_pps)``.
+    """
+    best = {1: 0.0, 3: 0.0}
+    for rep in range(reps):
+        for hops in ((1, 3) if rep % 2 == 0 else (3, 1)):
+            topo = build_chain(hops)
+            topo.receive_batch(make_cached_packets(FLOWS))
+            elapsed = _time_pass(
+                topo, make_cached_packets(n), True, burst=BURST
+            )
+            forwarded = topo.node(f"r{hops}").counters["forwarded"] - FLOWS
+            if forwarded != n:
+                raise RuntimeError(
+                    f"topo_chain{hops}: forwarded {forwarded} of {n}"
+                )
+            best[hops] = max(best[hops], n / elapsed)
+    return best[1], best[3]
 
 
 _TELEMETRY_PAIRS = {
@@ -592,8 +644,13 @@ def measure(quick: bool, use_batch: bool) -> dict:
     results = {}
     paired_done = set()
     for name in WORKLOADS:
-        if name == "batch_steady":
-            continue   # measured with batch_churn, interleaved
+        if name in ("batch_steady", "topo_chain3"):
+            continue   # measured with their pair arm, interleaved
+        if name == "topo_chain1":
+            chain1, chain3 = run_chain_pair(n, max(4, reps * 2))
+            results["topo_chain1"] = round(chain1, 1)
+            results["topo_chain3"] = round(chain3, 1)
+            continue
         if name == "batch_churn":
             # Cheap passes: as many best-of samples as the telemetry
             # pairs, so a co-tenant burst cannot sink one arm alone.

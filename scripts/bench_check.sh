@@ -136,6 +136,28 @@ if ratio < FLOOR:
 print(f"ok: batch_churn at {ratio:.3f}x batch_steady >= {FLOOR}x")
 EOF
 
+echo "== topology transit floor =="
+# Every transit hop of a topology runs through the node's batch loop, so
+# a hop may cost at most 2x a single-hop router: 3 x topo_chain3 must
+# keep >= 0.5 x topo_chain1, both arms measured interleaved in the same
+# run (measured 1.02-1.08x; 0.33-0.42x while transit hops were pumped one
+# packet at a time).
+python - <<'EOF'
+import json, sys
+
+FLOOR = 0.5
+with open("BENCH_throughput.json") as fh:
+    pps = json.load(fh)["packets_per_second"]
+if "topo_chain1" not in pps or "topo_chain3" not in pps:
+    print("FAIL: missing workload pair topo_chain1/topo_chain3")
+    sys.exit(1)
+ratio = 3 * pps["topo_chain3"] / pps["topo_chain1"]
+if ratio < FLOOR:
+    print(f"FAIL: 3 x topo_chain3 at {ratio:.3f}x topo_chain1, below {FLOOR}x")
+    sys.exit(1)
+print(f"ok: 3 x topo_chain3 at {ratio:.3f}x topo_chain1 >= {FLOOR}x")
+EOF
+
 echo "== telemetry overhead ceiling =="
 # The metrics registry must be near-free on the data path
 # (docs/OBSERVABILITY.md).  The cached-hit pair gates at 5%: its batch

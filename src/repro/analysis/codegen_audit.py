@@ -27,6 +27,10 @@ invariants into ordinary diagnostics:
   stale compile epochs, per-length prefix tables not probed
   longest-first, unsorted range boundaries, or entry counts that do not
   match the interpreted structure.
+* RP506 — a loop's stamped and unstamped twins (the same plan emitted
+  with and without per-packet arrival clocks) differ by more than the
+  clock lines: the stamped shape topology transit runs would then not
+  be the loop every other batch runs.
 
 RP5xx findings are never suppressible in spirit (they indicate a
 compiler bug, not a style choice), but the standard ``# rp: ignore``
@@ -36,6 +40,7 @@ grammar still applies to AST-anchored ones for emergencies.
 from __future__ import annotations
 
 import ast
+import re
 from typing import Dict, List, Optional, Set, Tuple
 
 from .diagnostics import AnalysisReport, Diagnostic
@@ -62,6 +67,15 @@ _PLAN_MARKERS: Tuple[Tuple[str, str, bool], ...] = (
     ("local", "local_addrs", True),
     ("bounded", "MAXR", True),
     ("clock", "record.ref = True", False),
+    ("stamped", "now = packet.arrival_time", True),
+)
+
+#: The lines a stamped loop adds or moves (RP506): the per-packet clock
+#: (``now = packet.arrival_time``, and ``packets[0]`` for the batch
+#: hooks) and the per-call context clock, which an unstamped loop sets
+#: once per batch in its prologue.
+_CLOCK_LINE = re.compile(
+    r"^\s*(now = packets?(\[0\])?\.arrival_time|ctx_\d+\.now = now)$"
 )
 
 
@@ -274,9 +288,58 @@ def audit_loop(fn, subject: str = "compiled batch loop") -> List[Diagnostic]:
                 hint="_compile must attach fn._source and fn._plan",
             )
         ]
-    return audit_loop_source(
+    diagnostics = audit_loop_source(
         source, fn.__globals__, plan=plan, subject=subject
     )
+    if plan is not None:
+        diagnostics.extend(audit_stamped_twin(source, plan, subject=subject))
+    return diagnostics
+
+
+def _without_clock(source: str) -> List[str]:
+    return [line for line in source.splitlines() if not _CLOCK_LINE.match(line)]
+
+
+def audit_clock_diff(
+    stamped: str, unstamped: str, subject: str = "compiled batch loop"
+) -> List[Diagnostic]:
+    """RP506 over a stamped/unstamped source pair: with the clock lines
+    removed from both, the two must be the same text."""
+    a, b = _without_clock(stamped), _without_clock(unstamped)
+    if a == b:
+        return []
+    line = next(
+        (i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b))
+    )
+    got = a[line].strip() if line < len(a) else "<end>"
+    want = b[line].strip() if line < len(b) else "<end>"
+    return [
+        Diagnostic(
+            "RP506",
+            "stamped loop differs from its unstamped twin beyond the clock "
+            f"lines: {got!r} where the unstamped loop has {want!r}",
+            subject=subject,
+            file="<repro.core.batch>",
+            hint="the stamped bit may only add per-packet "
+            "'now = packet.arrival_time' and per-call 'ctx_N.now = now' "
+            "lines; emit everything else the same way for both",
+        )
+    ]
+
+
+def audit_stamped_twin(
+    source: str, plan: dict, subject: str = "compiled batch loop"
+) -> List[Diagnostic]:
+    """RP506 for one compiled loop: emit its twin — the same plan with
+    the stamped bit flipped, not compiled — and audit the loop's own
+    source against it."""
+    from ..core.batch import _emit
+
+    stamped = bool(plan.get("stamped"))
+    twin = _emit({**plan, "stamped": not stamped})
+    if stamped:
+        return audit_clock_diff(source, twin, subject=subject)
+    return audit_clock_diff(twin, source, subject=subject)
 
 
 # ----------------------------------------------------------------------

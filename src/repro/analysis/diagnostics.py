@@ -42,6 +42,7 @@ CODES: Dict[str, Tuple[str, str]] = {
     "RP208": (WARNING, "per-packet recomputation of loop-invariant work in a batch hook"),
     "RP209": (ERROR, "process-seeded builtin hash() on packet/flow state"),
     "RP210": (WARNING, "suppression names an unknown diagnostic code"),
+    "RP211": (ERROR, "undeclared packet re-injection from the data path"),
     # RP3xx — compiled/interpreted equivalence (repro.analysis.equivalence).
     "RP301": (ERROR, "compiled DAG walk diverges from interpreted matchers"),
     "RP302": (ERROR, "compiled BMP lookup diverges from engine lookup"),
@@ -57,6 +58,7 @@ CODES: Dict[str, Tuple[str, str]] = {
     "RP503": (ERROR, "generated fault handler neither classifies nor re-raises"),
     "RP504": (ERROR, "compiled loop source does not reflect its specialization key"),
     "RP505": (ERROR, "compiled lookup structure violates its shape invariants"),
+    "RP506": (ERROR, "stamped batch loop differs from its unstamped twin beyond the clock lines"),
 }
 
 

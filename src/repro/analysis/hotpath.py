@@ -36,6 +36,12 @@ same-package helper functions, and flags:
   such work to one evaluation per batch (docs/PERFORMANCE.md, "Batched
   pipeline"); recomputing it per packet silently re-creates the scalar
   overhead the compiled batch loops removed.
+* RP211 — a data-path re-injection (``ctx.router.receive(...)`` or
+  ``.receive_batch(...)``) from an instance class that does not declare
+  ``reinjects = True``.  Topology transit runs a router's deliveries
+  through its batch loop unless the plan binds a re-injecting instance,
+  and a re-injection inside that loop is never adopted as the
+  continuation of the packet it replaced (docs/PLUGIN_AUTHORING.md).
 
 Findings on a source line carrying ``# rp: ignore[RPxxx]`` (or a blanket
 ``# rp: ignore``) are suppressed.  Everything runs on source text via
@@ -74,6 +80,8 @@ _NONDET_DATETIME = {"now", "utcnow", "today"}
 _CHARGE_NAMES = {"charge", "charge_memory", "access"}
 _TOUCH_ATTRS = {"payload"}
 _TOUCH_CALLS = {"serialize"}
+#: Router entry points a plugin re-injects through (RP211).
+_REINJECT_CALLS = {"receive", "receive_batch"}
 #: self-attribute names that read as ad-hoc metric stores (RP207).
 _METRIC_ATTRS = {
     "stats", "metrics", "counters", "counts", "histograms", "gauges",
@@ -112,6 +120,7 @@ class _FunctionLint:
         self.calls_global: Set[str] = set()
         self.has_charge = False
         self.touches: List[Tuple[int, str]] = []      # (lineno, what)
+        self.reinjections: List[int] = []             # linenos (RP211)
         self.diagnostics: List[Diagnostic] = []
 
     def absolute_line(self, node: ast.AST) -> int:
@@ -190,6 +199,12 @@ class _FunctionLint:
                 self.has_charge = True
             if func.attr in _TOUCH_CALLS:
                 self.touches.append((self.absolute_line(node), f".{func.attr}()"))
+            if (
+                func.attr in _REINJECT_CALLS
+                and isinstance(func.value, ast.Attribute)
+                and func.value.attr == "router"
+            ):
+                self.reinjections.append(self.absolute_line(node))
             self._check_dotted(node, func)
             return
         if isinstance(func, ast.Name):
@@ -627,6 +642,31 @@ def lint_plugin(plugin) -> List[Diagnostic]:
                     if key not in seen:
                         seen.add(key)
                         diagnostics.append(diagnostic)
+            if not getattr(instance_cls, "reinjects", False):
+                for lint in lints:
+                    for line in lint.reinjections:
+                        if is_suppressed("RP211", lint.lines[line - lint.start]):
+                            continue
+                        key = ("RP211", lint.file, line)
+                        if key in seen:
+                            continue
+                        seen.add(key)
+                        diagnostics.append(
+                            Diagnostic(
+                                "RP211",
+                                "packet re-injected into the router from "
+                                f"the {instance_cls.__name__}.{method_name} "
+                                "path, but the class does not declare "
+                                "reinjects = True",
+                                subject=f"{instance_cls.__name__}.{method_name}",
+                                file=lint.file,
+                                line=line,
+                                hint="set reinjects = True on the instance "
+                                "class so topology transit pumps its router "
+                                "one packet at a time and adopts the "
+                                "re-injected packet",
+                            )
+                        )
             if not has_charge:
                 for lint in lints:
                     for line, what in lint.touches:

@@ -115,21 +115,23 @@ def _script_diagnostic(error):
 
 
 def _self_codegen_audit() -> List:
-    """Warm the batch loop on three scratch router configurations (no
+    """Warm the batch loop on four scratch router configurations (no
     active pre gate; an active pre gate over an unbounded flow table;
-    the same over a bounded one) and audit each, so the self-lint gate
-    exercises the RP5xx checks against real emitter output on every CI
-    run."""
+    the same over a bounded one; the same run stamped, at per-packet
+    arrival clocks) and audit each, so the self-lint gate exercises the
+    RP5xx checks — RP506's stamped/unstamped twin diff included —
+    against real emitter output on every CI run."""
     from ..core.gates import DEFAULT_GATES, GATE_IP_SECURITY
     from ..core.router import Router
     from ..mgr.library import RouterPluginLibrary
     from ..net.packet import make_udp
 
     diagnostics: List = []
-    for config, max_flows, with_plugin in (
-        ("no-pre-gate", None, False),
-        ("pre-gate", None, True),
-        ("pre-gate-bounded", 64, True),
+    for config, max_flows, with_plugin, now in (
+        ("no-pre-gate", None, False, 0.0),
+        ("pre-gate", None, True, 0.0),
+        ("pre-gate-bounded", 64, True, 0.0),
+        ("pre-gate-stamped", None, True, None),
     ):
         router = Router(
             name=f"self-lint-{config}", gates=DEFAULT_GATES, max_flows=max_flows
@@ -142,7 +144,8 @@ def _self_codegen_audit() -> List:
             library.create_instance("firewall", "fw0")
             library.bind("fw0", "*, *, UDP", gate=GATE_IP_SECURITY)
         router.receive_batch(
-            [make_udp("10.0.0.1", "20.0.1.1", 5000, 9000, iif="atm0")]
+            [make_udp("10.0.0.1", "20.0.1.1", 5000, 9000, iif="atm0")],
+            now=now,
         )
         diagnostics.extend(
             audit_router_codegen(router, subject_prefix=f"self-lint {config}: ")

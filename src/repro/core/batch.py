@@ -11,7 +11,8 @@ router's current configuration:
 * whether any local addresses exist,
 * whether every interface is a plain :class:`NetworkInterface` (the
   transmit bookkeeping can then be inlined),
-* whether any instance has a batch-start hook.
+* whether any instance has a batch-start hook,
+* whether the loop is *stamped*.
 
 That list is the cache key (:func:`loop_key`): a *shape*, not a filter
 set.  A control-plane write that leaves the shape alone — the common
@@ -22,6 +23,16 @@ Every loop has the same shape: one run-to-completion pass per packet,
 in scalar order — the flow-table probe (hit, or install plus filter
 walk on a miss), each active pre-routing gate's plugin call, then the
 demux, route, and emit tail, with the route memo and transmit inlined.
+
+A loop runs every packet at one batch clock (``now``) unless it is
+*stamped*: ``receive_batch(packets, now=None)`` runs each packet at its
+own ``packet.arrival_time``, which is how topology transit hands a run
+of deliveries, each with its own arrival time, to one loop call.  The
+stamped source differs from the unstamped one by the clock lines only —
+``now = packet.arrival_time`` per packet and ``ctx_N.now = now`` per
+plugin call instead of once per batch (audited by RP506) — and the
+unstamped source is the one every ``receive_batch(packets, now)`` call
+has always run.
 
 Every loop is *behaviorally identical* to calling ``receive`` in a
 loop — dispositions, counters, flow-table and telemetry state, plugin
@@ -72,7 +83,7 @@ _MAX_CACHED_LOOPS = 32
 # ----------------------------------------------------------------------
 # Compilation entry point
 # ----------------------------------------------------------------------
-def loop_key(router) -> Optional[tuple]:
+def loop_key(router, stamped: bool = False) -> Optional[tuple]:
     """The shape key of the loop :func:`loop_for` would return for the
     router's current plan, or ``None`` when it would return ``None``
     (scalar fallback: flow cache disabled, IPv6 flow-label hashing, no
@@ -83,9 +94,10 @@ def loop_key(router) -> Optional[tuple]:
     namespace that can change over a router's life (gate geometry is
     fixed at construction): the active gates, telemetry on/off, whether
     local addresses exist, the eviction policy, the flow-table cap
-    (``MAXR``), whether every interface is plain, and whether any batch
-    hook exists.  It does *not* hold ``plan_epoch``: a filter
-    create/remove that leaves the shape alone reuses the compiled loop.
+    (``MAXR``), whether every interface is plain, whether any batch
+    hook exists, and whether the loop is stamped.  It does *not* hold
+    ``plan_epoch``: a filter create/remove that leaves the shape alone
+    reuses the compiled loop.
     """
     aiu = router.aiu
     table = aiu.flow_table
@@ -101,9 +113,7 @@ def loop_key(router) -> Optional[tuple]:
         # cache-bypass seam lives in Router.receive().  receive_batch
         # already routes around the loops; this guards direct callers.
         return None
-    if router._hooks_epoch != router._plan_epoch:
-        router._batch_hooks = _batch_hooks(router)
-        router._hooks_epoch = router._plan_epoch
+    refresh_plan_scan(router)
     return (
         router._plan_pre_active,
         router._plan_routing_active,
@@ -114,10 +124,11 @@ def loop_key(router) -> Optional[tuple]:
         table.max_records,
         _all_plain(router),
         bool(router._batch_hooks),
+        stamped,
     )
 
 
-def loop_for(router) -> Optional[Callable]:
+def loop_for(router, stamped: bool = False) -> Optional[Callable]:
     """The compiled batch loop for the router's *current* plan, or
     ``None`` when the configuration is not specialized (see
     :func:`loop_key`).
@@ -127,7 +138,7 @@ def loop_for(router) -> Optional[Callable]:
     from the router at call time, and only a change of shape compiles
     a new loop.  Every compile bumps ``router.loop_compiles``.
     """
-    key = loop_key(router)
+    key = loop_key(router, stamped)
     if key is None:
         return None
     loops = router._batch_loops
@@ -135,7 +146,7 @@ def loop_for(router) -> Optional[Callable]:
     if loop is None:
         if len(loops) >= _MAX_CACHED_LOOPS:
             loops.clear()
-        loop = _compile(router)
+        loop = _compile(router, stamped)
         loops[key] = loop
         router.loop_compiles += 1
     return loop
@@ -147,18 +158,28 @@ def _all_plain(router) -> bool:
     )
 
 
-def _batch_hooks(router) -> tuple:
-    """Collect ``on_batch_start`` hooks from every instance reachable
-    through the current filter set or scheduler bindings.
+def refresh_plan_scan(router) -> None:
+    """Bring the per-epoch instance scan up to the router's plan epoch:
+    ``router._batch_hooks`` and ``router._reinjects`` (see
+    :func:`_scan_instances`).  One epoch compare when nothing changed."""
+    if router._hooks_epoch != router._plan_epoch:
+        router._batch_hooks, router._reinjects = _scan_instances(router)
+        router._hooks_epoch = router._plan_epoch
 
-    :func:`loop_key` refreshes ``router._batch_hooks`` from this on
-    every ``plan_epoch`` change and the loop prologue reads that tuple
-    at call time, so an instance bound by a filter create joins at the
-    next batch and an unbound one leaves — without a recompile unless
-    the set goes from empty to non-empty or back.  Instances that appear
-    without an epoch bump (e.g. a scheduler bound mid-batch) join on the
-    next epoch."""
+
+def _scan_instances(router) -> tuple:
+    """Scan every instance reachable through the current filter set or
+    scheduler bindings: their ``on_batch_start`` hooks, and whether any
+    of them re-injects packets (``PluginInstance.reinjects``).
+
+    :func:`refresh_plan_scan` redoes the scan on every ``plan_epoch``
+    change and the loop prologue reads the hook tuple at call time, so
+    an instance bound by a filter create joins at the next batch and an
+    unbound one leaves — without a recompile unless the set goes from
+    empty to non-empty or back.  Instances that appear without an epoch
+    bump (e.g. a scheduler bound mid-batch) join on the next epoch."""
     hooks = []
+    reinjects = False
     seen = set()
     instances = [rec.instance for rec in router.aiu.filters()]
     instances.extend(router._schedulers.values())
@@ -169,10 +190,11 @@ def _batch_hooks(router) -> tuple:
         hook = getattr(instance, BATCH_START_HOOK, None)
         if hook is not None:
             hooks.append(hook)
-    return tuple(hooks)
+        reinjects = reinjects or getattr(instance, "reinjects", False)
+    return tuple(hooks), bool(reinjects)
 
 
-def _compile(router) -> Callable:
+def _compile(router, stamped: bool = False) -> Callable:
     aiu = router.aiu
     table = aiu.flow_table
     plan = {
@@ -191,6 +213,7 @@ def _compile(router) -> Callable:
         "sched_active": router._plan_sched_active,
         "sched_gi": router._gate_indices.get(GATE_PACKET_SCHEDULING),
         "hooks": bool(router._batch_hooks),
+        "stamped": stamped,
     }
     source = _emit(plan)
     namespace = {
@@ -287,6 +310,8 @@ def _emit_prologue(blk, plan):
         probe_ok = router.faults.probe_succeeded
     """)
     if plan["hooks"]:
+        if plan["stamped"]:
+            blk(1, "now = packets[0].arrival_time")
         # Read at call time: the tuple is refreshed per plan epoch, the
         # loop only per shape.
         blk(1, """
@@ -295,7 +320,8 @@ def _emit_prologue(blk, plan):
         """)
     # Pooled contexts, initialized once per batch (the scalar gate macro
     # re-assigns now/cycles/out_interface per call; the values are batch
-    # invariants for everything but the sched gate's out_interface).
+    # invariants for everything but the sched gate's out_interface, and
+    # ``now`` in a stamped loop, which sets it per plugin call).
     gates = list(plan["pre"])
     if plan["has_routing"] and plan["routing_active"]:
         gates.append((GATE_ROUTING, plan["routing_gi"]))
@@ -307,7 +333,10 @@ def _emit_prologue(blk, plan):
             if ctx_{gi} is None:
                 ctx_{gi} = PluginContext(router=router, gate={gate!r})
                 pool[{gate!r}] = ctx_{gi}
-            ctx_{gi}.now = now
+        """)
+        if not plan["stamped"]:
+            blk(1, f"ctx_{gi}.now = now")
+        blk(1, f"""
             ctx_{gi}.cycles = NULL
             ctx_{gi}.out_interface = None
         """)
@@ -534,7 +563,7 @@ def _emit_allocate(blk, plan, depth):
     """)
 
 
-def _emit_gate_call(blk, depth, gate, gi):
+def _emit_gate_call(blk, plan, depth, gate, gi):
     """One gate's plugin invocation for one packet: the scalar gate
     macro (``_gate_fast``) inlined — live quarantine interception, the
     plugin call, and inline fault mapping through ``on_fault``.  Returns
@@ -567,6 +596,8 @@ def _emit_gate_call(blk, depth, gate, gi):
     """)
     d = depth + 2
     ctx_lines = [f"ctx_{gi}.slot = gslot", f"ctx_{gi}.flow = record"]
+    if plan["stamped"]:
+        ctx_lines.append(f"ctx_{gi}.now = now")
     if gate == GATE_PACKET_SCHEDULING:
         ctx_lines.append(f"ctx_{gi}.out_interface = oif")
     blk(d, "\n".join(ctx_lines))
@@ -621,7 +652,7 @@ def _emit_tail(blk, plan, depth):
         if plan["tm"]:
             blk(depth, f"cells[{rgi}] += 1")
         blk(depth, "gdrop = False")
-        d = _emit_gate_call(blk, depth, GATE_ROUTING, rgi)
+        d = _emit_gate_call(blk, plan, depth, GATE_ROUTING, rgi)
         blk(d, """
             if verdict == DROPV:
                 gdrop = True
@@ -691,7 +722,7 @@ def _emit_tail(blk, plan, depth):
         blk(d, "gdrop = False")
         if plan["tm"]:
             blk(d, f"cells[{sgi}] += 1")
-        dd = _emit_gate_call(blk, d, GATE_PACKET_SCHEDULING, sgi)
+        dd = _emit_gate_call(blk, plan, d, GATE_PACKET_SCHEDULING, sgi)
         blk(dd, """
             if verdict == DROPV:
                 gdrop = True
@@ -747,12 +778,14 @@ def _emit_pass(blk, plan):
     """The one loop shape: classify, each active pre gate, then the
     tail — one scalar-ordered pass per packet."""
     blk(2, "for i, packet in enumerate(packets):")
+    if plan["stamped"]:
+        blk(3, "now = packet.arrival_time")
     _emit_classify(blk, plan, 3)
     for gate, gi in plan["pre"]:
         if plan["tm"]:
             blk(3, f"cells[{gi}] += 1")
         blk(3, "gdrop = False")
-        d = _emit_gate_call(blk, 3, gate, gi)
+        d = _emit_gate_call(blk, plan, 3, gate, gi)
         blk(d, """
             if verdict == DROPV:
                 gdrop = True

@@ -106,6 +106,15 @@ class PluginContext:
 class PluginInstance:
     """One configured run-time instance of a plugin, bindable to flows."""
 
+    #: Whether ``process`` may hand a new packet back into the router
+    #: (``ctx.router.receive(...)``), as ESP tunnel decapsulation does.
+    #: A topology pumps transit into a router whose current plan binds
+    #: such an instance one packet at a time, so the re-injected packet
+    #: can be adopted as the continuation of the consumed one.  The RP211
+    #: lint flags a data-path re-injection from a class that leaves this
+    #: False (docs/PLUGIN_AUTHORING.md).
+    reinjects = False
+
     def __init__(self, plugin: "Plugin", name: Optional[str] = None, **config):
         self.plugin = plugin
         self.name = name or f"{plugin.name}#{len(plugin.instances)}"

@@ -161,9 +161,12 @@ class Router:
         # Compiled batch loops (repro.core.batch), keyed by loop shape
         # (batch.loop_key), so a same-shape filter change reuses them.
         # The on_batch_start hooks are epoch-varying data the loops read
-        # at call time, refreshed when ``_hooks_epoch`` falls behind.
+        # at call time; they and ``_reinjects`` (does the plan bind an
+        # instance that re-injects packets?) come from one instance scan
+        # per plan epoch (batch.refresh_plan_scan).
         self._batch_loops: Dict[tuple, Callable] = {}
         self._batch_hooks: tuple = ()
+        self._reinjects = False
         self._hooks_epoch = -1
         #: Batch loops compiled over the router's lifetime (one per new
         #: shape; ``health()["compiles"]``).
@@ -270,7 +273,8 @@ class Router:
         return disposition
 
     def receive_batch(
-        self, packets: Sequence[Packet], now: float = 0.0, cycles=NULL_METER
+        self, packets: Sequence[Packet], now: Optional[float] = 0.0,
+        cycles=NULL_METER,
     ) -> List[str]:
         """Run a batch of packets run-to-completion; one disposition each.
 
@@ -284,6 +288,12 @@ class Router:
         Configurations the compiler does not specialize (flow cache off,
         IPv6 flow-label hashing, no pre-routing gate) fall back to the
         scalar fast path per packet.
+
+        ``now=None`` runs each packet at its own ``packet.arrival_time``
+        (the *stamped* loop shape; topology transit uses it): equal to
+        ``[receive(p, now=p.arrival_time) for p in packets]``.  With an
+        overload governor attached that is literally what runs, so the
+        governor samples at each packet's own clock.
         """
         if (
             cycles is not NULL_METER
@@ -292,10 +302,12 @@ class Router:
         ):
             # Per-packet receive() so lifecycle sampling sees each packet
             # (non-sampled ones still take the fast path inside).
-            return [self.receive(p, now=now, cycles=cycles) for p in packets]
+            return self._receive_each(packets, now, cycles)
         if not packets:
             return []
         gov = self._overload
+        if gov is not None and now is None:
+            return self._receive_each(packets, now)
         if gov is not None:
             gov.countdown -= len(packets)
             if gov.countdown <= 0:
@@ -313,12 +325,27 @@ class Router:
         self.aiu.ensure_compiled()
         from .batch import loop_for
 
-        loop = loop_for(self)
+        loop = loop_for(self, now is None)
         if loop is not None:
             return loop(self, packets, now)
         fast = self._receive_fast
         pool = self._ctx_pool
+        if now is None:
+            return [fast(p, p.arrival_time, pool) for p in packets]
         return [fast(packet, now, pool) for packet in packets]
+
+    def _receive_each(
+        self, packets: Sequence[Packet], now: Optional[float],
+        cycles=NULL_METER,
+    ) -> List[str]:
+        """``receive`` per packet, at ``now`` or (``None``) at each
+        packet's own arrival time."""
+        if now is None:
+            return [
+                self.receive(p, now=p.arrival_time, cycles=cycles)
+                for p in packets
+            ]
+        return [self.receive(p, now=now, cycles=cycles) for p in packets]
 
     # ------------------------------------------------------------------
     # Fast path (wall-clock specialization; modelled costs unchanged)

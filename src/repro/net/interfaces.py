@@ -105,13 +105,27 @@ class NetworkInterface:
     # ------------------------------------------------------------------
     # Receive side
     # ------------------------------------------------------------------
-    def deliver(self, packet: Packet, at_time: float) -> None:
-        """Called by the link when a packet arrives at this interface."""
+    def arrive(self, packet: Packet, at_time: float) -> None:
+        """The wire crossing itself, without the RX queue: stamp the
+        input interface and arrival time, drop the iif-dependent flow
+        state, and account the RX.
+
+        A fresh mbuf: the flow index never crosses the wire, and the
+        cached flow key holds the input interface.  The wire never
+        changes headers, so the length and five-tuple fold caches stay
+        warm.
+        """
         packet.iif = self.name
         packet.arrival_time = at_time
-        packet.fix = None  # a fresh mbuf: flow indices never cross the wire
+        packet._fix = None
+        packet._flow_key = None
         self.rx_packets += 1
         self.rx_bytes += packet.length
+
+    def deliver(self, packet: Packet, at_time: float) -> None:
+        """Called by the link when a packet arrives at this interface:
+        :meth:`arrive`, then the RX queue (or the delivery callback)."""
+        self.arrive(packet, at_time)
         if self.on_deliver is not None:
             self.on_deliver(at_time, packet)
         else:

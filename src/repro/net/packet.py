@@ -96,9 +96,11 @@ class Packet:
     The flow index (``fix``) and the derived classification caches
     (flow key, five-tuple hash, total length) share one lifecycle:
     assigning ``packet.fix = None`` — the established "this is now a
-    different flow" signal used by the interfaces on delivery and by the
-    IPsec plugins after en/decapsulation — also drops every cache, so a
-    packet folds its five-tuple exactly once per hop.
+    different flow" signal used by the IPsec plugins after
+    en/decapsulation — also drops every cache.  Crossing a wire
+    (``NetworkInterface.arrive``) drops only the iif-dependent state
+    (the flow index and the flow key), so a forwarded packet folds its
+    five-tuple and sizes itself once per lifetime, not once per hop.
     """
 
     src: IPAddress
@@ -128,6 +130,12 @@ class Packet:
     _label_fold: Optional[int] = field(default=None, init=False, repr=False, compare=False)
     _length: int = field(default=-1, init=False, repr=False, compare=False)
     _length_payload: int = field(default=-1, init=False, repr=False, compare=False)
+    #: Nodes visited on the current topology journey (repro.topo):
+    #: set to 1 at the entry node, bumped per transit delivery, checked
+    #: against ``Topology.max_hops``.  0 means "never entered", which is
+    #: how a packet a hop re-injected (tunnel decapsulation) is told
+    #: apart from one already in flight.
+    hops: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.src.width != self.dst.width:

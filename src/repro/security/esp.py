@@ -66,6 +66,8 @@ class EspOutboundInstance(PluginInstance):
 class EspInboundInstance(PluginInstance):
     """Tunnel tail: authenticate, decrypt, decapsulate, re-inject."""
 
+    reinjects = True
+
     def __init__(self, plugin, sadb: SADatabase = None, **config):
         super().__init__(plugin, **config)
         if sadb is None:

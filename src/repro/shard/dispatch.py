@@ -110,6 +110,7 @@ def decode_packet(desc: WireDescriptor) -> Packet:
     pkt._label_fold = None
     pkt._length = -1
     pkt._length_payload = -1
+    pkt.hops = 0
     return pkt
 
 

@@ -44,7 +44,18 @@ def _query_topology(library, **filters) -> dict:
         return topo.describe()
     router = library.router
     sharded = hasattr(router, "nshards")
-    first = router.shards[0] if sharded else router
+    if sharded and not router.shards:
+        # mp backend: the shards live in the workers; each answers with
+        # its own one-node view.
+        views = [
+            view["nodes"][0] for view in library._child_queries("topology")
+        ]
+        interfaces = views[0]["interfaces"]
+        quarantined = sorted({q for v in views for q in v["quarantined"]})
+    else:
+        first = router.shards[0] if sharded else router
+        interfaces = sorted(first.interfaces)
+        quarantined = _quarantined_names(router)
     name = getattr(router, "name", "router")
     return {
         "name": name,
@@ -54,9 +65,9 @@ def _query_topology(library, **filters) -> dict:
             "name": name,
             "kind": "sharded" if sharded else "router",
             "nshards": getattr(router, "nshards", 1),
-            "interfaces": sorted(first.interfaces),
+            "interfaces": interfaces,
             "down": False,
-            "quarantined": _quarantined_names(router),
+            "quarantined": quarantined,
         }],
         "links": [],
         "ecmp": [],

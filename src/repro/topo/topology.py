@@ -29,21 +29,41 @@ Key semantics:
   nodes; one more and it is dropped with the topology-level
   ``dropped_loop`` disposition (TTL still decrements per hop as usual,
   so whichever bound is tighter wins).
+* **Batched transit** — the transit queue is FIFO, and the pump pops
+  its maximal *head run* of items bound for one (node, iface), delivers
+  them, and hands the run to the node's compiled batch loop in one
+  ``receive_batch(run, now=None)`` call: the *stamped* loop shape,
+  which runs each packet at its own ``arrival_time``.  Every node sees
+  its packets in exactly the one-at-a-time order, at the same clocks,
+  so the result is state-for-state the scalar pump's (pinned by
+  tests/topo/test_batched_transit.py).  A router with an overload
+  governor runs ``receive(p, now=p.arrival_time)`` per packet inside
+  that call, so the governor samples at each packet's clock.
+* **Scalar fallback** — the head item takes the one-packet step
+  instead when its run is a single item, when an observer
+  (:class:`~repro.topo.tracer.PathTracer`) is attached (traces are
+  hop-by-hop), when the target is a sharded node (each packet goes to
+  its shard by the RSS fold), when the receiving interface has queued
+  RX or an event-loop callback, or when the target router's current
+  plan binds an instance that re-injects packets
+  (``PluginInstance.reinjects``, collected once per plan epoch).
 * **Tunnel adoption** — when a hop CONSUMEs a packet and re-injects
   exactly one new packet (ESP tunnel decapsulation), the new packet is
   *adopted* as the continuation of the journey: it inherits the hop
-  count and the end-to-end disposition follows it.  Adoption is
-  per-packet and therefore scalar-precise; a batched *entry* call
-  cannot attribute mid-batch consumption (transit hops are always
-  pumped one packet at a time, so tunnels that start after the first
-  hop work under both entries).
+  count (``Packet.hops``) and the end-to-end disposition follows it.
+  Adoption is per-packet: a re-injecting router is always pumped one
+  packet at a time, so tunnels that start after the first hop are
+  adopted exactly under both entries; a batched *entry* call cannot
+  attribute mid-batch consumption at the entry node itself.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
+from itertools import islice
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
+from ..core.batch import refresh_plan_scan
 from ..core.errors import ConfigurationError
 from ..core.overload import TIERS
 from ..core.router import Router
@@ -430,7 +450,7 @@ class Topology:
         to the node's own ``receive`` — zero mutation, so a single-node
         topology is bit-identical to the bare router."""
         entry_name, entry = self._entry_node()
-        hops: Dict[int, int] = {packet.packet_id: 1}
+        packet.hops = 1
         final: Dict[int, str] = {}
         adoptions: Dict[int, int] = {}
         if _observer is not None:
@@ -443,11 +463,11 @@ class Topology:
         if _observer is not None:
             _observer.after_hop(
                 entry_name, entry, packet, disposition, now,
-                list(self._transit)[mark:],
+                self._since(mark),
             )
         final[packet.packet_id] = disposition
-        self._adopt(packet, disposition, mark, hops, adoptions)
-        self._drain(hops, final, adoptions, _observer)
+        self._adopt(packet, disposition, mark, adoptions)
+        self._drain(final, adoptions, _observer)
         return self._final_for(packet.packet_id, final, adoptions)
 
     def receive_batch(self, packets: Sequence, now: float = 0.0,
@@ -456,7 +476,8 @@ class Topology:
         ``receive_batch`` (compiled loops and all), then transit drains
         run-to-completion.  Dispositions are end-to-end, in input order."""
         entry = self._entry_node()[1]
-        hops: Dict[int, int] = {p.packet_id: 1 for p in packets}
+        for p in packets:
+            p.hops = 1
         final: Dict[int, str] = {}
         adoptions: Dict[int, int] = {}
         if hasattr(entry, "nshards") or cycles is NULL_METER:
@@ -465,41 +486,116 @@ class Topology:
             dispositions = entry.receive_batch(packets, now=now, cycles=cycles)
         for p, d in zip(packets, dispositions):
             final[p.packet_id] = d
-        self._drain(hops, final, adoptions, None)
+        self._drain(final, adoptions, None)
         return [
             self._final_for(p.packet_id, final, adoptions) for p in packets
         ]
 
-    def _drain(self, hops: Dict[int, int], final: Dict[int, str],
-               adoptions: Dict[int, int], observer) -> None:
-        """Run-to-completion transit pump: deliver each in-flight packet
-        into its target node and process it, until the network is quiet."""
+    def _since(self, mark: int) -> list:
+        """The transit items queued after position ``mark``."""
+        return list(islice(self._transit, mark, None))
+
+    def _drain(self, final: Dict[int, str], adoptions: Dict[int, int],
+               observer) -> None:
+        """Run-to-completion transit pump, until the network is quiet.
+
+        The head run of items bound for one (node, iface) goes through
+        the node's stamped batch loop in one call (:meth:`_pump_run`).
+        A single-item run, an observer, or a target the run may not
+        batch into (:meth:`_batchable`) takes the scalar step
+        (:meth:`_pump_one`) for the head item instead."""
         transit = self._transit
+        nodes = self.nodes
+        batched = observer is None
         while transit:
-            node_name, iface_name, pkt, at = transit.popleft()
-            count = hops.get(pkt.packet_id, 0) + 1
-            hops[pkt.packet_id] = count
-            if count > self.max_hops:
-                self._local_counters[DROPPED_LOOP] += 1
-                final[pkt.packet_id] = DROPPED_LOOP
-                continue
-            node = self.nodes[node_name]
-            target, iface = self._rx_target(node, iface_name, pkt)
-            # The real wire-crossing: iif / arrival-time / flow-index
-            # reset plus RX accounting, then straight into the data path.
-            iface.deliver(pkt, at)
-            for arrived in iface.poll():
-                if observer is not None:
-                    observer.before_hop(node_name, node, arrived, at)
-                mark = len(transit)
-                disposition = target.receive(arrived, now=at)
-                if observer is not None:
-                    observer.after_hop(
-                        node_name, node, arrived, disposition, at,
-                        list(transit)[mark:],
-                    )
-                final[arrived.packet_id] = disposition
-                self._adopt(arrived, disposition, mark, hops, adoptions)
+            node_name, iface_name = transit[0][0], transit[0][1]
+            node = nodes[node_name]
+            if (
+                batched
+                and len(transit) > 1
+                and transit[1][1] == iface_name
+                and transit[1][0] == node_name
+                and self._batchable(node, iface_name)
+            ):
+                self._pump_run(node_name, node, iface_name, final)
+            else:
+                self._pump_one(node, final, adoptions, observer)
+
+    def _hop(self, pkt, final: Dict[int, str]) -> bool:
+        """Count a transit hop; ``False`` (and ``dropped_loop``) once the
+        packet has visited ``max_hops`` nodes."""
+        count = pkt.hops + 1
+        pkt.hops = count
+        if count > self.max_hops:
+            self._local_counters[DROPPED_LOOP] += 1
+            final[pkt.packet_id] = DROPPED_LOOP
+            return False
+        return True
+
+    def _pump_one(self, node, final: Dict[int, str],
+                  adoptions: Dict[int, int], observer) -> None:
+        """The scalar step: deliver the head item, process it alone, and
+        mark the queue around it so a tunnel re-injection is adopted and
+        an observer sees exactly what this hop emitted."""
+        transit = self._transit
+        node_name, iface_name, pkt, at = transit.popleft()
+        if not self._hop(pkt, final):
+            return
+        target, iface = self._rx_target(node, iface_name, pkt)
+        # The real wire-crossing: iif / arrival-time / flow-index
+        # reset plus RX accounting, then straight into the data path.
+        iface.deliver(pkt, at)
+        for arrived in iface.poll():
+            if observer is not None:
+                observer.before_hop(node_name, node, arrived, at)
+            mark = len(transit)
+            disposition = target.receive(arrived, now=at)
+            if observer is not None:
+                observer.after_hop(
+                    node_name, node, arrived, disposition, at,
+                    self._since(mark),
+                )
+            final[arrived.packet_id] = disposition
+            self._adopt(arrived, disposition, mark, adoptions)
+
+    def _batchable(self, node, iface_name: str) -> bool:
+        """Whether a run into ``node``'s ``iface_name`` may take the
+        stamped batch loop: the node is a plain router (a sharded node
+        takes the scalar step, which dispatches each packet to its
+        shard), the receiving interface is quiet (no queued RX, no
+        event-loop callback), and the plan binds no instance that
+        re-injects packets (a re-injection is adopted per packet, which
+        needs the scalar step's queue marks)."""
+        if hasattr(node, "nshards"):
+            return False
+        iface = node.interfaces[iface_name]
+        if iface._inbox or iface.on_deliver is not None:
+            return False
+        node._refresh_plan()
+        refresh_plan_scan(node)
+        return not node._reinjects
+
+    def _pump_run(self, node_name: str, node, iface_name: str,
+                  final: Dict[int, str]) -> None:
+        """Pop the head run of items bound for (node, iface), deliver
+        them, and process them through the node's stamped batch loop —
+        each packet at its own arrival time."""
+        transit = self._transit
+        arrive = node.interfaces[iface_name].arrive
+        run = []
+        while transit:
+            item = transit[0]
+            if item[1] != iface_name or item[0] != node_name:
+                break
+            transit.popleft()
+            pkt = item[2]
+            if self._hop(pkt, final):
+                arrive(pkt, item[3])
+                run.append(pkt)
+        if not run:
+            return
+        for pkt, disposition in zip(run, node.receive_batch(run, now=None)):
+            final[pkt.packet_id] = disposition
 
     def _rx_target(self, node, iface_name: str, pkt):
         """The router that will process this delivery and its receiving
@@ -511,20 +607,17 @@ class Topology:
         return node, node.interfaces[iface_name]
 
     def _adopt(self, packet, disposition: str, mark: int,
-               hops: Dict[int, int], adoptions: Dict[int, int]) -> None:
+               adoptions: Dict[int, int]) -> None:
         """Tunnel adoption: a CONSUMED packet that re-injected exactly
         one new packet (ESP decapsulation) continues the journey as that
         inner packet — hop count inherited, end-to-end disposition
         follows it."""
         if disposition != "consumed":
             return
-        fresh = [
-            item for item in list(self._transit)[mark:]
-            if item[2].packet_id not in hops
-        ]
+        fresh = [item for item in self._since(mark) if item[2].hops == 0]
         if len(fresh) == 1:
             inner = fresh[0][2]
-            hops[inner.packet_id] = hops.get(packet.packet_id, 1)
+            inner.hops = packet.hops
             adoptions[packet.packet_id] = inner.packet_id
 
     @staticmethod

@@ -16,6 +16,7 @@ from repro.analysis import (
     audit_loop_source,
     audit_router_codegen,
 )
+from repro.analysis.codegen_audit import audit_clock_diff, audit_stamped_twin
 from repro.bmp import make_engine
 from repro.core.gates import DEFAULT_GATES, GATE_IP_SECURITY
 from repro.core.plugin import Plugin, PluginInstance, TYPE_IP_SECURITY, Verdict
@@ -171,6 +172,24 @@ def test_rp504_hooks_read_from_a_compile_time_snapshot():
     assert "hooks" in findings[0].message
 
 
+def test_rp504_stamped_plan_without_the_arrival_clock():
+    findings = audit_loop_source(
+        CLEAN_SOURCE, NAMESPACE, plan={"plain": True, "stamped": True}
+    )
+    assert _codes(findings) == ["RP504"]
+    assert "arrival_time" in findings[0].message
+
+
+def test_rp504_arrival_clock_in_an_unstamped_plan():
+    source = CLEAN_SOURCE.replace(
+        "    for packet in packets:\n",
+        "    for packet in packets:\n        now = packet.arrival_time\n",
+    )
+    findings = audit_loop_source(source, NAMESPACE, plan={"plain": True})
+    assert _codes(findings) == ["RP504"]
+    assert "clears" in findings[0].message
+
+
 def test_rp504_loop_without_source_attribute():
     def not_generated(packets, now):
         return []
@@ -178,6 +197,59 @@ def test_rp504_loop_without_source_attribute():
     findings = audit_loop(not_generated)
     assert _codes(findings) == ["RP504"]
     assert "_source" in findings[0].message
+
+
+# ----------------------------------------------------------------------
+# RP506 — stamped and unstamped twins differ by the clock lines only
+# ----------------------------------------------------------------------
+def test_rp506_clock_lines_are_the_only_allowed_difference():
+    stamped = CLEAN_SOURCE.replace(
+        "    for packet in packets:\n",
+        "    for packet in packets:\n        now = packet.arrival_time\n"
+        "        ctx_1.now = now\n",
+    )
+    assert audit_clock_diff(stamped, CLEAN_SOURCE) == []
+
+
+def test_rp506_flags_any_other_difference():
+    stamped = CLEAN_SOURCE.replace(
+        "    for packet in packets:\n",
+        "    for packet in packets:\n        now = packet.arrival_time\n"
+        "        now += 1\n",
+    )
+    findings = audit_clock_diff(stamped, CLEAN_SOURCE)
+    assert _codes(findings) == ["RP506"]
+    assert "now += 1" in findings[0].message
+
+
+def test_rp506_a_warm_loop_and_its_twin_audit_clean():
+    router = _warm_router("audit-twins", with_plugin=True)
+    (fn,) = router._batch_loops.values()
+    assert audit_stamped_twin(fn._source, fn._plan) == []
+
+
+def test_rp506_flags_a_cached_stamped_loop_that_drifted():
+    router = _warm_router("audit-drift", with_plugin=True)
+    router.receive_batch(
+        [make_udp("10.0.0.2", "20.0.1.2", 5001, 9001, iif="atm0")], now=None
+    )
+    (fn,) = [f for f in router._batch_loops.values() if f._plan["stamped"]]
+    fn._source = fn._source.replace("fwd += 1", "fwd += 2")
+    findings = audit_loop(fn)
+    assert _codes(findings) == ["RP506"]
+    assert "fwd += 2" in findings[0].message
+
+
+def test_stamped_router_audits_clean():
+    """A router that ran a stamped batch caches the stamped loop beside
+    the unstamped one; both audit clean, RP506 included."""
+    router = _warm_router("audit-stamped", with_plugin=True)
+    router.receive_batch(
+        [make_udp("10.0.0.2", "20.0.1.2", 5001, 9001, iif="atm0")], now=None
+    )
+    assert sorted(fn._plan["stamped"] for fn in router._batch_loops.values()) \
+        == [False, True]
+    assert audit_router_codegen(router) == []
 
 
 # ----------------------------------------------------------------------

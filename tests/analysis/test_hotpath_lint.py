@@ -219,9 +219,34 @@ class SuppressedBatchInstance(PluginInstance):
             packet.annotations["limit"] = limit
 
 
+class UndeclaredReinjector(PluginInstance):
+    """Hands a replacement packet back to the router without declaring
+    it: topology transit would run this router through its batch loop
+    and never adopt the replacement."""
+
+    def process(self, packet, ctx):
+        ctx.router.receive(packet.copy(), now=ctx.now)
+        return Verdict.CONSUMED
+
+
+class HelperReinjector(PluginInstance):
+    def process(self, packet, ctx):
+        return self._replace(packet, ctx)
+
+    def _replace(self, packet, ctx):
+        ctx.router.receive_batch([packet.copy()], now=ctx.now)
+        return Verdict.CONSUMED
+
+
+class DeclaredReinjector(UndeclaredReinjector):
+    reinjects = True
+
+
 @pytest.mark.parametrize(
     "instance_cls,expected",
     [
+        (UndeclaredReinjector, "RP211"),
+        (HelperReinjector, "RP211"),
         (SleepyInstance, "RP201"),
         (LocalImportSleeper, "RP201"),
         (FromImportSleeper, "RP201"),
@@ -249,6 +274,7 @@ def test_bad_pattern_is_flagged(instance_cls, expected):
         HelperChargedInstance,
         RegistryMetricsInstance,
         HoistedBatchInstance,
+        DeclaredReinjector,
     ],
 )
 def test_good_pattern_is_clean(instance_cls):

@@ -156,3 +156,23 @@ def test_shard_rows_are_numbered_per_shard(owner):
         Topology: ["a/0", "b/0", "b/1"],
     }[type(owner)]
     assert [row["shard"] for row in rows] == expected
+
+
+def test_topology_topic_answers_on_every_owner(owner):
+    """``show topology`` on a lone router or a sharded one is the
+    one-node view; the mp front end holds no shards, so its view comes
+    from the workers."""
+    manager, lines = _manager(owner)
+    data = manager.library.query("topology")
+    manager.run_command("show topology")
+    assert lines[0].startswith(f"topology {data['name']} ")
+    if isinstance(owner, Topology):
+        assert [n["name"] for n in data["nodes"]] == ["a", "b"]
+        return
+    (node,) = data["nodes"]
+    assert node["interfaces"] == ["down1", "down2", "up0"]
+    assert node["quarantined"] == []
+    if isinstance(owner, ShardedRouter):
+        assert (node["kind"], node["nshards"]) == ("sharded", owner.nshards)
+    else:
+        assert (node["kind"], node["nshards"]) == ("router", 1)

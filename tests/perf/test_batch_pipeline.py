@@ -606,3 +606,250 @@ def test_warmed_pipeline_passes_codegen_audit():
             router.receive_batch(workload[start:start + 7])
         assert router._batch_loops, label
         assert audit_router_codegen(router) == [], label
+
+
+# ----------------------------------------------------------------------
+# The stamped loop shape: each packet at its own arrival clock
+# ----------------------------------------------------------------------
+def _with_filter(router):
+    _bind(router, _PortFilterPlugin)
+    return router
+
+
+def _local_sched(name):
+    router = Router(name=name, gates=DEFAULT_GATES)
+    router.add_interface("atm0", address="10.0.0.254", prefix="10.0.0.0/8")
+    router.add_interface("atm1", prefix="20.0.0.0/8")
+    plugin = DrrPlugin()
+    router.pcu.load(plugin)
+    instance = plugin.create_instance(interface="atm1", quantum=4096)
+    plugin.register_instance(instance, "*, *, UDP", gate=GATE_PACKET_SCHEDULING)
+    router.set_scheduler("atm1", instance)
+    return _with_filter(router)
+
+
+def _l4_routing(name):
+    from repro.core import GATE_ROUTING, GATES_WITH_L4_ROUTING
+    from repro.core.routing_plugin import L4RoutingPlugin
+
+    router = Router(name=name, gates=GATES_WITH_L4_ROUTING)
+    router.add_interface("atm0", prefix="10.0.0.0/8")
+    router.add_interface("atm1", prefix="20.0.0.0/8")
+    router.add_interface("atm2")
+    plugin = L4RoutingPlugin()
+    router.pcu.load(plugin)
+    instance = plugin.create_instance(action="forward", interface="atm2")
+    plugin.register_instance(instance, "*, 20.0.1.1, UDP", gate=GATE_ROUTING)
+    return _with_filter(router)
+
+
+def _telemetry(name):
+    router = _with_filter(_build(name))
+    router.attach_telemetry()
+    return router
+
+
+#: Router configurations whose loop sources are pinned below: every
+#: emitter branch (no active pre gate, pre gates, both eviction
+#: policies over a bounded table, telemetry, local addresses, the
+#: scheduling and routing gates, batch hooks).
+_LOOP_CONFIGS = {
+    "no-pre-gate": _build,
+    "pre-gate": lambda n: _with_filter(_build(n)),
+    "bounded-lru": lambda n: _with_filter(_build(n, max_flows=16)),
+    "bounded-clock": lambda n: _with_filter(
+        _build(n, max_flows=16, flow_eviction="clock")),
+    "telemetry": _telemetry,
+    "local-sched": _local_sched,
+    "l4-routing": _l4_routing,
+    "hooks": lambda n: (_bind(r := _build(n), _HookedPlugin), r)[1],
+}
+
+#: sha256 of each configuration's unstamped loop source, as emitted
+#: before the stamped shape existed: adding the stamped bit must leave
+#: every ``receive_batch(packets, now)`` caller on the very same code.
+_UNSTAMPED_SOURCE_SHA256 = {
+    "bounded-clock": "a16e7b47bac052de4a2a9145584e99b28e16770c2d521a303dfad56e181b184e",
+    "bounded-lru": "cab03492c48830da0cb6e91a0b82e3374388c2cbadcfcea6049e7dab8dfdbbd0",
+    "hooks": "94a998b6ad5c82bb146bdbc59619ba7d5d0a9d734a3fdf084583046fe2511c29",
+    "l4-routing": "2048714e51030bbe8f80a349efbe3a1aaac2df7e1d63ff335c1ba1575777250b",
+    "local-sched": "586330bdc2fdae6d852677cb2c0c0e97d13f19edda1004bcdc3ead73a0e57e7a",
+    "no-pre-gate": "c1a17cbb38c77d2e7a33d97a40dafa3f890b4dbad57642838c3ef435609636b1",
+    "pre-gate": "432655fd6157115ef3220bdfe61bc8bb7a146d1aafd3c87b9ca5d513cc54dac8",
+    "telemetry": "0a6eb6c791d39be7230e4b5b28cdf9deab0e5bf6534a06b14dfc7ebe8da65cf0",
+}
+
+
+def _loop_source(make, name, stamped):
+    router = make(name)
+    router.receive_batch(_mixed_workload(count=16), now=None if stamped else 0.0)
+    return loop_for(router, stamped)._source
+
+
+@pytest.mark.parametrize("config", sorted(_LOOP_CONFIGS))
+def test_unstamped_loop_source_is_unchanged(config):
+    import hashlib
+
+    source = _loop_source(_LOOP_CONFIGS[config], config, stamped=False)
+    digest = hashlib.sha256(source.encode()).hexdigest()
+    assert digest == _UNSTAMPED_SOURCE_SHA256[config]
+    assert "arrival_time" not in source
+
+
+@pytest.mark.parametrize("config", sorted(_LOOP_CONFIGS))
+def test_stamped_loop_differs_only_by_clock_lines(config):
+    from repro.analysis.codegen_audit import audit_clock_diff
+
+    make = _LOOP_CONFIGS[config]
+    stamped = _loop_source(make, config, stamped=True)
+    unstamped = _loop_source(make, config, stamped=False)
+    assert stamped != unstamped
+    assert "now = packet.arrival_time" in stamped
+    assert audit_clock_diff(stamped, unstamped) == []
+
+
+def _stamped_workload(seed=42, count=80):
+    """The mixed workload with strictly non-decreasing, irregular
+    arrival times: back-to-back packets, microsecond gaps, and gaps
+    longer than the fault windows and quarantine cooldowns below."""
+    packets = _mixed_workload(seed=seed, count=count)
+    rng = random.Random(seed)
+    at = 0.0
+    for packet in packets:
+        at += rng.choice((0.0, 1e-6, 3e-3, 0.4, 2.5))
+        packet.arrival_time = at
+    return packets
+
+
+def _clock_state(router, packets):
+    """The per-packet clock's footprint: every flow record's timestamps
+    and counts, interface pacing, departures, and fault domains."""
+    flows = sorted(
+        (record.key.src, record.key.dst, record.key.sport, record.created,
+         record.last_used, record.packets, record.bytes)
+        for record in router.aiu.flow_table
+    )
+    return {
+        **_fault_state(router),
+        "flows": flows,
+        "next_free": {n: i._next_free for n, i in router.interfaces.items()},
+        "departures": [p.departure_time for p in packets],
+    }
+
+
+def _run_stamped_differential(make, chunk=16, seed=42):
+    """``receive_batch(chunk, now=None)`` against ``receive(p,
+    now=p.arrival_time)`` per packet, on twin routers."""
+    scalar = make("scalar")
+    batched = make("batched")
+    expected_packets = _stamped_workload(seed)
+    expected = [scalar.receive(p, now=p.arrival_time) for p in expected_packets]
+    packets = _stamped_workload(seed)
+    got = []
+    for start in range(0, len(packets), chunk):
+        got.extend(batched.receive_batch(packets[start:start + chunk], now=None))
+    assert got == expected
+    assert _clock_state(batched, packets) == _clock_state(scalar, expected_packets)
+    return scalar, batched
+
+
+@pytest.mark.parametrize("config", sorted(_LOOP_CONFIGS))
+def test_stamped_loop_matches_scalar_at_arrival_clocks(config):
+    _, batched = _run_stamped_differential(_LOOP_CONFIGS[config])
+    assert [key[-1] for key in batched._batch_loops] == [True]
+
+
+@pytest.mark.parametrize("policy", _POLICIES, ids=["capture", "trip1", "bypass2"])
+@pytest.mark.parametrize("bounded", [False, True], ids=["unbounded", "bounded"])
+def test_stamped_loop_faults_and_quarantine_follow_arrival_clocks(policy, bounded):
+    """Fault windows, quarantine cooldowns and half-open probes run on
+    each packet's own clock: a stamped batch spanning a cooldown must
+    reinstate (or keep intercepting) exactly where the scalar walk
+    does."""
+    def make(name):
+        kwargs = {"max_flows": 16} if bounded else {}
+        router = _build(name, **kwargs)
+        _bind(router, _FaultyPlugin, every=5)
+        router.faults.set_policy("faulty-batch", policy)
+        return router
+
+    scalar, _ = _run_stamped_differential(make, chunk=32)
+    assert scalar.faults.records()
+
+
+def test_stamped_loop_on_a_quarantined_plugin_probes_on_arrival_clocks():
+    """A plugin quarantined before traffic starts: packets before the
+    cooldown are intercepted, the first one after it probes — decided
+    by that packet's arrival time, not the batch's."""
+    def make(name):
+        router = _build(name)
+        _bind(router, _PortFilterPlugin)
+        router.faults.set_policy(
+            "port-filter",
+            FaultPolicy(threshold=1, window=1.0, action="drop", cooldown=3.0),
+        )
+        router.faults.quarantine("port-filter", now=0.0)
+        return router
+
+    scalar, _ = _run_stamped_differential(make, chunk=80)
+    health = scalar.faults.health()["port-filter"]
+    assert health["dropped_while_quarantined"] > 0
+    assert health["state"] != "quarantined"
+
+
+class _ClockGate(PluginInstance):
+    """Drops packets seen in odd seconds of ``ctx.now`` and logs the
+    clock of every call: any packet run at the wrong clock shows."""
+
+    def __init__(self, plugin, log=None, **config):
+        super().__init__(plugin, **config)
+        self.log = [] if log is None else log
+
+    def process(self, packet, ctx):
+        self.log.append((ctx.gate, ctx.now))
+        return Verdict.DROP if int(ctx.now) % 2 else Verdict.CONTINUE
+
+
+class _ClockGatePlugin(Plugin):
+    plugin_type = TYPE_IP_SECURITY
+    name = "clock-gate"
+    instance_class = _ClockGate
+
+
+@pytest.mark.parametrize("gate", [GATE_IP_OPTIONS, GATE_PACKET_SCHEDULING])
+def test_stamped_plugin_calls_see_each_packets_clock(gate):
+    instances = []
+
+    def make(name):
+        router = _with_filter(_build(name))
+        instances.append(_bind(router, _ClockGatePlugin, gate=gate))
+        return router
+
+    _run_stamped_differential(make)
+    scalar, batched = instances
+    assert batched.log == scalar.log
+    assert len({now for _, now in scalar.log}) > 10
+
+
+def test_stamped_batch_with_a_governor_samples_per_packet():
+    """With an overload governor attached a stamped batch is the scalar
+    walk itself, so the governor samples at each packet's clock."""
+    def make(name):
+        router = _with_filter(_build(name, max_flows=16))
+        router.attach_overload_governor(sample_interval=4)
+        return router
+
+    _, batched = _run_stamped_differential(make)
+    assert batched.loop_compiles == 0
+
+
+def test_stamped_hooks_see_the_first_arrival():
+    router = _build("hooked-stamped")
+    instance = _bind(router, _HookedPlugin)
+    packets = _stamped_workload(count=24)
+    router.receive_batch(packets[:8], now=None)
+    router.receive_batch(packets[8:], now=None)
+    assert instance.batch_calls == [
+        (packets[0].arrival_time, 8),
+        (packets[8].arrival_time, len(packets) - 8),
+    ]
